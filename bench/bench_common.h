@@ -31,9 +31,8 @@ namespace bench {
 /**
  * Install a process-lifetime tracer (unless PLD_TRACE/PLD_METRICS
  * already installed one), so every AppBuild::report carries a
- * metrics snapshot. The harnesses read stage times from that
- * snapshot — the same telemetry a user sees — instead of keeping
- * their own stopwatches. Call once at the top of main().
+ * metrics snapshot for harnesses that print counters. Call once at
+ * the top of main().
  */
 inline void
 initObservability()
@@ -42,38 +41,18 @@ initObservability()
 }
 
 /**
- * Per-stage wall seconds for one build, from the telemetry gauges
- * the compiler publishes (pld.wall.*). Falls back to the legacy
- * stopwatch aggregate when tracing is disabled (PLD_OBS_DISABLE).
- */
-inline flow::StageTimes
-stageWalls(const flow::AppBuild &b)
-{
-    const obs::MetricsSnapshot &m = b.report.metrics;
-    if (!m.enabled)
-        return b.wallTimes;
-    flow::StageTimes t;
-    t.hls = m.gauge("pld.wall.hls");
-    t.syn = m.gauge("pld.wall.syn");
-    t.pnr = m.gauge("pld.wall.pnr");
-    t.bitgen = m.gauge("pld.wall.bitgen");
-    return t;
-}
-
-/**
  * Per-page compile-time samples for a -O1 build, sorted ascending:
- * the pld.page.seconds distribution from the build's metrics window
- * (cached pages excluded, matching what was actually compiled).
+ * the pages this build actually compiled (cached and failed pages
+ * excluded) — the same samples as the pld.page.seconds distribution.
  */
 inline std::vector<double>
 pageSeconds(const flow::AppBuild &b)
 {
-    if (const obs::DistSummary *d =
-            b.report.metrics.dist("pld.page.seconds"))
-        return d->samples; // already sorted
     std::vector<double> times;
-    for (const auto &op : b.ops)
-        times.push_back(op.times.total());
+    for (const auto &op : b.ops) {
+        if (!op.fromCache && !op.outcome.failed)
+            times.push_back(op.times.total());
+    }
     std::sort(times.begin(), times.end());
     return times;
 }

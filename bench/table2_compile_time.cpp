@@ -18,7 +18,6 @@ using namespace pld::flow;
 int
 main()
 {
-    bench::initObservability();
     double effort = bench::benchEffort(25.0);
     auto benches = rosetta::allBenchmarks();
 
@@ -37,12 +36,12 @@ main()
         AppBuild o1 = pc.build(bm.graph, OptLevel::O1);
         AppBuild o0 = pc.build(bm.graph, OptLevel::O0);
 
-        // Stage times come from each build's telemetry snapshot
-        // (pld.wall.* gauges), not harness-local stopwatches.
-        StageTimes vit_w = bench::stageWalls(vit);
-        StageTimes o3_w = bench::stageWalls(o3);
-        StageTimes o1_w = bench::stageWalls(o1);
-        StageTimes o0_w = bench::stageWalls(o0);
+        // The compiler's own per-stage aggregate; the pld.wall.*
+        // gauges are derived from it.
+        const StageTimes &vit_w = vit.wallTimes;
+        const StageTimes &o3_w = o3.wallTimes;
+        const StageTimes &o1_w = o1.wallTimes;
+        const StageTimes &o0_w = o0.wallTimes;
         double speedup =
             vit_w.total() / std::max(1e-9, o1_w.total());
         t.row(bm.name, fmtDouble(vit_w.hls, 3),

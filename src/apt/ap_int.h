@@ -190,7 +190,10 @@ class ApIntBase
     ApIntBase &
     operator*=(const ApIntBase &o)
     {
-        assignRaw(static_cast<uint64_t>(value() * o.value()));
+        // Multiply in uint64_t: the same modular result, without
+        // signed overflow for W > 32.
+        assignRaw(static_cast<uint64_t>(value()) *
+                  static_cast<uint64_t>(o.value()));
         return *this;
     }
     ApIntBase &

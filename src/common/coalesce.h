@@ -1,22 +1,23 @@
 /**
  * @file
- * Cross-client request coalescing: the PR-1/2 in-flight-dedup
- * sentinel machinery generalized from cache keys inside one build to
- * whole requests across daemon clients.
+ * In-flight deduplication: the one claim / wait / publish / fail
+ * protocol shared by the compiler's artifact cache
+ * (flow::PldCompiler, keyed by operator content) and the compile
+ * daemon's request coalescing (svc::CompileService, keyed by whole
+ * requests across clients).
  *
- * N clients submitting the identical compile must trigger exactly
- * one backend compile; the other N-1 wait and share the result. The
- * failure discipline mirrors the artifact cache's RAII sentinel: if
- * the claimant cannot produce a result (an exception escaped between
- * claim and publish — including the claimant's handler dying with
- * its client), fail() wakes exactly one waiter, which *re-claims*
- * the request and compiles it itself. Waiters therefore never hang
- * on a dead claimant, and a result is compiled at most once per
- * failure generation.
+ * N callers asking for the same key while it is in flight must
+ * trigger exactly one compile; the other N-1 wait and share the
+ * result. If the claimant cannot produce a result (an exception
+ * escaped between claim and publish — including a daemon handler
+ * dying with its client), fail() wakes exactly one waiter, which
+ * *re-claims* the key and compiles it itself. Waiters therefore
+ * never hang on a dead claimant, and a result is compiled at most
+ * once per failure generation.
  */
 
-#ifndef PLD_SVC_COALESCE_H
-#define PLD_SVC_COALESCE_H
+#ifndef PLD_COMMON_COALESCE_H
+#define PLD_COMMON_COALESCE_H
 
 #include <condition_variable>
 #include <cstdint>
@@ -25,7 +26,6 @@
 #include <mutex>
 
 namespace pld {
-namespace svc {
 
 template <typename Result> class Coalescer
 {
@@ -149,8 +149,7 @@ template <typename Result> class Coalescer
      * RAII failure sentinel for the claimant path: unless disarm()ed
      * (after a successful publish), destruction calls fail(), so an
      * exception thrown anywhere between claim and publish wakes a
-     * waiter instead of stranding all of them. The same discipline
-     * as flow::PldCompiler's cache sentinel, one layer up.
+     * waiter instead of stranding all of them.
      */
     class Sentinel
     {
@@ -185,7 +184,6 @@ template <typename Result> class Coalescer
     std::map<uint64_t, std::shared_ptr<Entry>> inflight;
 };
 
-} // namespace svc
 } // namespace pld
 
-#endif // PLD_SVC_COALESCE_H
+#endif // PLD_COMMON_COALESCE_H

@@ -178,15 +178,11 @@ class BftNoc
         int parent = -1;   // -1 = root
         int left = -1, right = -1; // child switch ids; -1 = leaf level
         // Link registers (current cycle contents).
-        Flit upIn[2];   // from children
-        Flit downIn;    // from parent
         Flit upOut;     // to parent
         Flit downOut[2];// to children
     };
 
     int leafParent(int leaf) const; ///< switch above a leaf
-    void stepSwitches();
-    void stepLeaves();
 
     int nLeaves;
     int nPorts;

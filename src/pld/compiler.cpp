@@ -139,9 +139,9 @@ PldCompiler::PldCompiler(const Device &dev, CompileOptions opts)
 void
 PldCompiler::clearCache()
 {
-    for (auto &sh : shards) {
-        std::lock_guard<std::mutex> lk(sh.mtx);
-        sh.map.clear();
+    {
+        std::lock_guard<std::mutex> lk(cache_mtx);
+        slots.clear();
     }
     cache_stats.hits = 0;
     cache_stats.misses = 0;
@@ -200,135 +200,118 @@ deriveSeed(uint64_t seed)
     return z ^ (z >> 31);
 }
 
-/** True when the artifact must not satisfy a higher-effort lookup:
- * it took the softcore fallback or closed with a non-Ok code. */
+/** True when the artifact must not satisfy a lookup at @p effort:
+ * it took the softcore fallback or closed with a non-Ok code, at a
+ * lower effort than asked for — retry the full ladder instead. */
 bool
-isDegraded(const OperatorArtifact &a)
+degradedBelow(const OperatorArtifact &a, double effort)
 {
-    return a.outcome.degraded ||
-           a.outcome.finalCode != CompileCode::Ok;
+    return (a.outcome.degraded ||
+            a.outcome.finalCode != CompileCode::Ok) &&
+           effort > a.effortUsed + 1e-12;
 }
 
 } // namespace
 
-std::shared_ptr<OperatorArtifact>
-PldCompiler::lookup(uint64_t key, double effort, int *generation)
+std::shared_ptr<const OperatorArtifact>
+PldCompiler::cached(uint64_t key, double effort,
+                    const CompileFn &compile, bool *hit)
 {
-    CacheShard &sh = shards[key % kCacheShards];
-    std::unique_lock<std::mutex> lk(sh.mtx);
-    auto it = sh.map.find(key);
-    if (it == sh.map.end()) {
-        // First miss claims the slot; the caller compiles it.
-        *generation = sh.map[key].generation++;
-        ++cache_stats.misses;
-        obs::count("cache.misses");
-        return nullptr;
-    }
-    // A null artifact means another thread is compiling this key
-    // right now; wait for it rather than compiling twice. A failure
-    // sentinel wakes exactly one waiter to re-claim the compile.
-    std::shared_ptr<OperatorArtifact> art;
-    bool claimed = false;
-    bool waited = false;
-    sh.cv.wait(lk, [&] {
-        auto i = sh.map.find(key);
-        if (i == sh.map.end()) {
-            waited = true;
-            return false;
+    using Inflight = Coalescer<OperatorArtifact>;
+    const auto served = [&](std::shared_ptr<const OperatorArtifact> a) {
+        ++cache_stats.hits;
+        obs::count("cache.hits");
+        if (hit)
+            *hit = true;
+        return a;
+    };
+    for (;;) {
+        if (inflight.enter(key) == Inflight::Role::Joined) {
+            // Whether a lookup meets an in-flight compile is pure
+            // scheduling, hence the sched. prefix.
+            obs::count("sched.cache.waits");
+            Inflight::WaitOutcome w = inflight.wait(key);
+            if (!w.reclaimed) {
+                uint64_t stored;
+                {
+                    std::lock_guard<std::mutex> lk(cache_mtx);
+                    stored = slots[key].checksum;
+                }
+                if (artifactChecksum(*w.result) == stored &&
+                    !degradedBelow(*w.result, effort))
+                    return served(std::move(w.result));
+                // Corrupt, or degraded below our effort: enter
+                // again, so one claimant evicts and recompiles it.
+                continue;
+            }
+            // The claimant failed and woke us: we claim it now.
         }
-        CacheEntry &e = i->second;
-        if (e.failed) {
-            e.failed = false;
-            *generation = e.generation++;
-            claimed = true;
-            return true;
+        Inflight::Sentinel sentinel(inflight, key);
+        Slot cur;
+        {
+            std::lock_guard<std::mutex> lk(cache_mtx);
+            cur = slots[key];
         }
-        if (e.art == nullptr) {
-            waited = true;
-            return false;
+        if (cur.art) {
+            // Only a key's claimant writes its slot, so the copy is
+            // checked outside the lock.
+            if (artifactChecksum(*cur.art) != cur.checksum) {
+                pld_warn("cache: corrupt artifact for %s (checksum "
+                         "mismatch); recompiling",
+                         cur.art->name.c_str());
+                ++cache_stats.corrupt;
+                obs::count("cache.corrupt");
+                obs::instant("cache", "cache.corrupt_recompile")
+                    .arg("op", cur.art->name);
+            } else if (degradedBelow(*cur.art, effort)) {
+                obs::count("cache.degraded_evictions");
+            } else {
+                inflight.publish(key, cur.art);
+                sentinel.disarm();
+                return served(std::move(cur.art));
+            }
         }
-        art = e.art;
-        return true;
-    });
-    if (waited) {
-        // Whether a lookup actually blocked on an in-flight compile
-        // is pure scheduling, hence the sched. prefix.
-        obs::count("sched.cache.waits");
-    }
-    if (claimed) {
+        int gen;
+        {
+            std::lock_guard<std::mutex> lk(cache_mtx);
+            Slot &s = slots[key];
+            s.art = nullptr;
+            gen = s.generation++;
+        }
         ++cache_stats.misses;
         obs::count("cache.misses");
-        return nullptr;
-    }
-    CacheEntry &e = sh.map[key];
-    if (artifactChecksum(*art) != e.checksum) {
-        // Corrupt entry: evict and re-claim; waiters (if any) block
-        // until our recompile publishes.
-        pld_warn("cache: corrupt artifact for %s (checksum "
-                 "mismatch); recompiling",
-                 art->name.c_str());
-        e.art = nullptr;
-        *generation = e.generation++;
-        ++cache_stats.corrupt;
-        ++cache_stats.misses;
-        obs::count("cache.corrupt");
-        obs::count("cache.misses");
-        obs::instant("cache", "cache.corrupt_recompile")
-            .arg("op", art->name);
-        return nullptr;
-    }
-    if (isDegraded(*art) && effort > art->effortUsed + 1e-12) {
-        // Never serve a degraded/fallback artifact to a build asking
-        // for more effort than it was compiled with: re-claim and
-        // retry the full ladder at the higher effort.
-        e.art = nullptr;
-        *generation = e.generation++;
-        ++cache_stats.misses;
-        obs::count("cache.misses");
-        obs::count("cache.degraded_evictions");
-        return nullptr;
-    }
-    ++cache_stats.hits;
-    obs::count("cache.hits");
-    return art;
-}
 
-void
-PldCompiler::publish(uint64_t key,
-                     std::shared_ptr<OperatorArtifact> art,
-                     int generation)
-{
-    uint64_t sum = artifactChecksum(*art);
-    if (injector.fires(FaultKind::CacheCorrupt, art->name,
-                       generation * kFaultAttemptStride)) {
-        // Injected corruption: the stored checksum no longer matches
-        // the artifact, exactly as a bit-rotted entry would look.
-        sum ^= 0xC0FFEEBADC0DEull;
+        std::shared_ptr<OperatorArtifact> art;
+        try {
+            art = compile(gen);
+        } catch (...) {
+            // The sentinel wakes one waiter to re-claim.
+            ++cache_stats.failures;
+            obs::count("cache.failures");
+            throw;
+        }
+        uint64_t sum = artifactChecksum(*art);
+        if (injector.fires(FaultKind::CacheCorrupt, art->name,
+                           gen * kFaultAttemptStride)) {
+            // Injected corruption: the stored checksum no longer
+            // matches the artifact, exactly as a bit-rotted entry
+            // would look.
+            sum ^= 0xC0FFEEBADC0DEull;
+        }
+        {
+            std::lock_guard<std::mutex> lk(cache_mtx);
+            Slot &s = slots[key];
+            s.art = art;
+            s.checksum = sum;
+        }
+        ++cache_stats.compiles;
+        obs::count("cache.compiles");
+        inflight.publish(key, art);
+        sentinel.disarm();
+        if (hit)
+            *hit = false;
+        return art;
     }
-    CacheShard &sh = shards[key % kCacheShards];
-    {
-        std::lock_guard<std::mutex> lk(sh.mtx);
-        CacheEntry &e = sh.map[key];
-        e.art = std::move(art);
-        e.checksum = sum;
-        e.failed = false;
-    }
-    ++cache_stats.compiles;
-    obs::count("cache.compiles");
-    sh.cv.notify_all();
-}
-
-void
-PldCompiler::publishFailure(uint64_t key)
-{
-    CacheShard &sh = shards[key % kCacheShards];
-    {
-        std::lock_guard<std::mutex> lk(sh.mtx);
-        sh.map[key].failed = true;
-    }
-    ++cache_stats.failures;
-    obs::count("cache.failures");
-    sh.cv.notify_all();
 }
 
 std::shared_ptr<OperatorArtifact>
@@ -742,15 +725,12 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
 
     // ---- per-operator compilation (parallel, cached) -------------
     // Each operator writes only its own out.ops slot; cache traffic
-    // goes through the sharded lookup/publish protocol, so there is
-    // no coarse compile-section mutex and nested parallelism (pages
-    // x P&R threads) composes through the shared ThreadBudget.
-    //
-    // A compile that throws must never strand cache waiters: the
-    // FailureSentinel guard publishes a failure marker on the way
-    // out of scope unless the compile completed, and the catch
-    // blocks turn the exception into a failed OperatorOutcome
-    // instead of letting it escape into the thread pool.
+    // goes through cached(), which never holds a lock across a
+    // compile, so nested parallelism (pages x P&R threads) composes
+    // through the shared ThreadBudget. A compile that throws wakes
+    // any waiters inside cached(); the catch blocks here turn the
+    // exception into a failed OperatorOutcome instead of letting it
+    // escape into the thread pool.
     out.ops.resize(g.ops.size());
     // Per-op spans parent to the build span by token: pool workers'
     // own span stacks are empty (or stale), and lease grants vary
@@ -770,45 +750,36 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
             tgt = fn.pragma.target;
 
         try {
-            std::shared_ptr<OperatorArtifact> art;
-            uint64_t key = 0;
-            int gen = 0;
-            if (!monolithic) {
-                key = cacheKey(fn, tgt, page_of[oi], true);
-                art = lookup(key, eff, &gen);
+            bool hit = false;
+            if (monolithic) {
+                // Bare kernel netlist for stitching; the monolithic
+                // p&r happens below.
+                OperatorArtifact &art = out.ops[oi];
+                art.name = fn.name;
+                art.irHash = fn.contentHash();
+                art.target = ir::Target::HW;
+                ThreadCpuStopwatch stage;
+                auto hr = hls::compileOperator(fn, false);
+                art.net = std::move(hr.net);
+                art.perf = hr.perf;
+                art.outcome.status.merge(hr.status);
+                art.times.hls = stage.seconds();
+                art.page = page_of[oi];
+            } else {
+                out.ops[oi] = *cached(
+                    cacheKey(fn, tgt, page_of[oi], true), eff,
+                    [&](int gen) {
+                        return tgt == ir::Target::HW
+                                   ? compileHwLadder(fn, page_of[oi],
+                                                     plan.promo[oi],
+                                                     eff, gen)
+                                   : compileSoftcore(fn, page_of[oi],
+                                                     gen);
+                    },
+                    &hit);
             }
-
-            bool cached = (art != nullptr);
-            if (!art) {
-                if (monolithic) {
-                    // Bare kernel netlist for stitching; the
-                    // monolithic p&r happens below.
-                    art = std::make_shared<OperatorArtifact>();
-                    art->name = fn.name;
-                    art->irHash = fn.contentHash();
-                    art->target = ir::Target::HW;
-                    ThreadCpuStopwatch stage;
-                    auto hr = hls::compileOperator(fn, false);
-                    art->net = std::move(hr.net);
-                    art->perf = hr.perf;
-                    art->outcome.status.merge(hr.status);
-                    art->times.hls = stage.seconds();
-                } else {
-                    FailureSentinel guard{this, key, true};
-                    if (tgt == ir::Target::HW) {
-                        art = compileHwLadder(fn, page_of[oi],
-                                              plan.promo[oi], eff,
-                                              gen);
-                    } else {
-                        art = compileSoftcore(fn, page_of[oi], gen);
-                    }
-                    guard.armed = false;
-                    publish(key, art, gen);
-                }
-            }
-            out.ops[oi] = *art;
-            out.ops[oi].fromCache = cached;
-            if (cached) {
+            out.ops[oi].fromCache = hit;
+            if (hit) {
                 // Which thread wins the compile-vs-wait race for a
                 // shared key is scheduling, so the per-op hit marker
                 // is non-structural; the counter totals above are
@@ -817,8 +788,6 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
                              /*structural=*/false)
                     .arg("op", fn.name);
             }
-            if (monolithic)
-                out.ops[oi].page = page_of[oi];
         } catch (const CompileError &ce) {
             OperatorOutcome bad;
             bad.op = fn.name;
@@ -1081,20 +1050,15 @@ PldCompiler::buildSwapArtifact(const ir::Graph &g,
     // Recompile — or cache-hit, for an unchanged operator — pinned
     // to the current page: promo = -1, because a hot swap must not
     // relocate the page out from under the running system.
-    uint64_t key = cacheKey(fn, tgt, page_id, true);
-    int gen = 0;
-    auto art = lookup(key, opts.effort, &gen);
-    sa.fromCache = art != nullptr;
-    if (!art) {
-        FailureSentinel guard{this, key, true};
-        if (tgt == ir::Target::HW)
-            art = compileHwLadder(fn, page_id, /*promo_page=*/-1,
-                                  opts.effort, gen);
-        else
-            art = compileSoftcore(fn, page_id, gen);
-        guard.armed = false;
-        publish(key, art, gen);
-    }
+    auto art = cached(
+        cacheKey(fn, tgt, page_id, true), opts.effort,
+        [&](int gen) {
+            return tgt == ir::Target::HW
+                       ? compileHwLadder(fn, page_id, /*promo_page=*/-1,
+                                         opts.effort, gen)
+                       : compileSoftcore(fn, page_id, gen);
+        },
+        &sa.fromCache);
     sa.outcome = art->outcome;
 
     sys::PageBinding nb;
@@ -1113,19 +1077,12 @@ PldCompiler::buildSwapArtifact(const ir::Graph &g,
 
     // Quarantine fallback: the -O0 softcore image of the same
     // function, cached like any other artifact.
-    std::shared_ptr<OperatorArtifact> fb;
-    if (art->target == ir::Target::RISCV) {
-        fb = art;
-    } else {
-        uint64_t fkey = cacheKey(fn, ir::Target::RISCV, page_id, true);
-        int fgen = 0;
-        fb = lookup(fkey, opts.effort, &fgen);
-        if (!fb) {
-            FailureSentinel guard{this, fkey, true};
-            fb = compileSoftcore(fn, page_id, fgen);
-            guard.armed = false;
-            publish(fkey, fb, fgen);
-        }
+    std::shared_ptr<const OperatorArtifact> fb = art;
+    if (art->target != ir::Target::RISCV) {
+        fb = cached(cacheKey(fn, ir::Target::RISCV, page_id, true),
+                    opts.effort, [&](int gen) {
+                        return compileSoftcore(fn, page_id, gen);
+                    });
     }
     nb.hasFallback = true;
     nb.fallbackElf = fb->elf;
@@ -1209,10 +1166,9 @@ PldCompiler::packTenantApps(const std::vector<TenantAppRef> &apps)
         // Guarantee a quarantine fallback on every binding: the
         // fault-contained scheduler depends on a hostile page being
         // pinnable to a softcore image of the same function. The
-        // on-demand compile claims a cache slot like any other, so
-        // it carries the same FailureSentinel — concurrent builds
-        // waiting on the key must wake even if this compile throws
-        // (it rejects the tenant instead of propagating).
+        // on-demand compile goes through the cache like any other;
+        // if it throws, cached() wakes any concurrent build waiting
+        // on the key and the tenant is rejected here.
         bool fallbacks_ok = true;
         for (auto &b : spec.bindings) {
             if (b.hasFallback)
@@ -1225,25 +1181,19 @@ PldCompiler::packTenantApps(const std::vector<TenantAppRef> &apps)
             }
             const ir::OperatorFn &fn =
                 app.graph->ops[static_cast<size_t>(b.opIdx)].fn;
-            uint64_t fkey =
-                cacheKey(fn, ir::Target::RISCV, b.pageId, true);
-            int fgen = 0;
-            auto fb = lookup(fkey, opts.effort, &fgen);
-            if (!fb) {
-                FailureSentinel guard{this, fkey, true};
-                try {
-                    fb = compileSoftcore(fn, b.pageId, fgen);
-                } catch (const CompileError &ce) {
-                    // guard publishes the failure marker on unwind.
-                    reject("tenant '" + app.name +
-                           "' fallback compile failed for operator "
-                           "'" +
-                           fn.name + "': " + ce.diag().render());
-                    fallbacks_ok = false;
-                    break;
-                }
-                guard.armed = false;
-                publish(fkey, fb, fgen);
+            std::shared_ptr<const OperatorArtifact> fb;
+            try {
+                fb = cached(
+                    cacheKey(fn, ir::Target::RISCV, b.pageId, true),
+                    opts.effort, [&](int gen) {
+                        return compileSoftcore(fn, b.pageId, gen);
+                    });
+            } catch (const CompileError &ce) {
+                reject("tenant '" + app.name +
+                       "' fallback compile failed for operator '" +
+                       fn.name + "': " + ce.diag().render());
+                fallbacks_ok = false;
+                break;
             }
             b.hasFallback = true;
             b.fallbackElf = fb->elf;

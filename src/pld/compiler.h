@@ -27,15 +27,15 @@
 #ifndef PLD_PLD_COMPILER_H
 #define PLD_PLD_COMPILER_H
 
-#include <array>
 #include <atomic>
-#include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/coalesce.h"
 #include "common/diag.h"
 #include "common/fault.h"
 #include "fabric/device.h"
@@ -239,8 +239,8 @@ struct CacheStats
     std::atomic<uint64_t> misses{0};
     /** Artifacts actually compiled (never exceeds misses). */
     std::atomic<uint64_t> compiles{0};
-    /** In-flight compiles that threw; each published a failure
-     * sentinel so waiters woke instead of hanging. At quiescence
+    /** In-flight compiles that threw; each woke one waiter to
+     * re-claim instead of leaving them hanging. At quiescence
      * compiles + failures == misses. */
     std::atomic<uint64_t> failures{0};
     /** Checksum-mismatch evictions; each corrupt entry is detected
@@ -387,61 +387,42 @@ class PldCompiler
     /** Drop all cached artifacts (tests). */
     void clearCache();
 
+    /** Compiles one cache claim; receives the claim's per-key
+     * generation (the fault injector's attempt coordinate). */
+    using CompileFn =
+        std::function<std::shared_ptr<OperatorArtifact>(int generation)>;
+
+    /**
+     * The artifact cache's one entry point: the artifact cached
+     * under @p key, or the result of @p compile, cached. Concurrent
+     * callers for one key share a single compile; if it throws, the
+     * exception reaches the claimant and exactly one waiter
+     * re-claims with the next generation. Every artifact served
+     * from the cache — to a claimant's lookup or to a waiter that
+     * joined a compile — passes the same checks: a checksum
+     * mismatch is a corrupt entry (warned, counted and recompiled
+     * once), and a degraded artifact compiled below @p effort is
+     * evicted and recompiled. @p hit (optional) receives whether
+     * the artifact came from the cache.
+     */
+    std::shared_ptr<const OperatorArtifact>
+    cached(uint64_t key, double effort, const CompileFn &compile,
+           bool *hit = nullptr);
+
   private:
     /**
-     * One artifact slot. `art == nullptr` while the claiming thread
-     * is still compiling; later arrivals wait on the shard's
-     * condition variable instead of compiling the artifact again.
-     * If the claimant throws, it publishes `failed = true` (via an
-     * RAII sentinel) so exactly one waiter wakes, re-claims the
-     * slot, and recompiles — waiters never hang on a dead compile.
-     * `generation` counts claims, giving the fault injector a
-     * deterministic per-key attempt coordinate; `checksum` detects
-     * corrupted artifacts on lookup.
+     * One cache slot: the artifact, its checksum as stored at
+     * publish time (re-verified before every hit), and the per-key
+     * claim counter that gives the fault injector a deterministic
+     * attempt coordinate. The counter outlives failed compiles and
+     * evictions; only clearCache() resets it.
      */
-    struct CacheEntry
+    struct Slot
     {
-        std::shared_ptr<OperatorArtifact> art;
-        bool failed = false;
-        int generation = 0;
+        std::shared_ptr<const OperatorArtifact> art;
         uint64_t checksum = 0;
+        int generation = 0;
     };
-
-    /**
-     * RAII guard for every *claimed* cache slot: construction arms
-     * it right after a lookup() miss, and unless disarmed after a
-     * successful publish(), destruction publishes the failure
-     * sentinel — so an exception anywhere between claim and publish
-     * wakes exactly one waiter to re-claim instead of stranding them
-     * all. Every compile-and-publish path must use it: build()'s
-     * per-operator compiles, buildSwapArtifact()'s recompile and
-     * fallback, and packTenantApps()'s on-demand fallback compiles.
-     */
-    struct FailureSentinel
-    {
-        PldCompiler *pc;
-        uint64_t key;
-        bool armed;
-        ~FailureSentinel()
-        {
-            if (armed)
-                pc->publishFailure(key);
-        }
-    };
-
-    /**
-     * The cache is sharded by key so concurrent builds (pages in
-     * parallel, multiple builds through one compiler) do not
-     * serialize on one coarse mutex; a shard lock covers only the
-     * map lookup/insert, never a compile.
-     */
-    struct CacheShard
-    {
-        std::mutex mtx;
-        std::condition_variable cv;
-        std::map<uint64_t, CacheEntry> map;
-    };
-    static constexpr size_t kCacheShards = 16;
 
     /** Deterministic page plan: initial assignment plus a reserved
      * promotion target per operator (-1 when none is free). */
@@ -471,27 +452,17 @@ class PldCompiler
     compileSoftcore(const ir::OperatorFn &fn, int page_id,
                     int generation);
 
-    /** Cache lookup: returns the artifact (waiting out an in-flight
-     * compile if needed) or nullptr when this caller must compile
-     * and then publish() the result. Corrupt entries and degraded
-     * entries below @p effort are evicted and re-claimed; a failure
-     * sentinel is re-claimed by exactly one waiter. @p generation
-     * receives this claim's per-key ordinal. */
-    std::shared_ptr<OperatorArtifact>
-    lookup(uint64_t key, double effort, int *generation);
-    void publish(uint64_t key, std::shared_ptr<OperatorArtifact> art,
-                 int generation);
-    /** Publish a failure sentinel: wakes waiters so one re-claims
-     * the compile and the rest keep waiting. */
-    void publishFailure(uint64_t key);
-
     /** Deterministic first-fit page assignment + promotion reserves. */
     PagePlan assignPages(const ir::Graph &g, OptLevel level) const;
 
     const fabric::Device &dev;
     CompileOptions opts;
     FaultInjector injector;
-    std::array<CacheShard, kCacheShards> shards;
+    /** Guards `slots` for map operations only, never a compile. */
+    std::mutex cache_mtx;
+    std::map<uint64_t, Slot> slots;
+    /** Compiles in flight: one claimant per key, the rest wait. */
+    Coalescer<OperatorArtifact> inflight;
     CacheStats cache_stats;
 };
 

@@ -44,9 +44,9 @@
 #include <shared_mutex>
 #include <string>
 
+#include "common/coalesce.h"
 #include "fabric/device.h"
 #include "pld/compiler.h"
-#include "svc/coalesce.h"
 #include "svc/store.h"
 #include "svc/wire.h"
 

@@ -3,7 +3,7 @@
  * The persistent, content-addressed artifact store behind the
  * compile service.
  *
- * The in-memory sharded cache from PRs 1–2 dies with the process; a
+ * The compiler's in-memory artifact cache dies with the process; a
  * daemon that serves millions of incremental edits needs artifacts
  * that survive restarts. The ArtifactStore keeps one file per entry
  * under a directory:

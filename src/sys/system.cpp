@@ -446,6 +446,11 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
                  ++j) {
                 drained &= !extOutPorts[j]->canRead();
             }
+            // The NoC may have just delivered a starved restartable
+            // page's last word into its leaf input FIFO, which
+            // net->idle() does not see: that page still has work.
+            for (const auto &page : pages)
+                drained &= page.done || !anyInputReadable(page);
             if (inputs_done && drained) {
                 ++cycle;
                 rs.completed = true;

@@ -70,8 +70,8 @@ checkIntProperties(uint64_t seed)
         ApIntBase<W, S> m = a;
         m *= b;
         EXPECT_EQ(m.raw(),
-                  static_cast<uint64_t>(refValue(ra, W, S) *
-                                        refValue(rb, W, S)) &
+                  (static_cast<uint64_t>(refValue(ra, W, S)) *
+                   static_cast<uint64_t>(refValue(rb, W, S))) &
                       refMask(W));
 
         // Bit-range reads agree with plain shifts.

@@ -1,20 +1,28 @@
 /**
- * Concurrency stress for the sharded artifact cache: many threads
- * build graphs sharing operators through one PldCompiler at once.
- * The cache must stay consistent — every lookup is exactly one hit
- * or one miss, misses equal the number of unique artifacts, and no
+ * Concurrency stress for the artifact cache: many threads build
+ * graphs sharing operators through one PldCompiler at once. The
+ * cache must stay consistent — every lookup is exactly one hit or
+ * one miss, misses equal the number of unique artifacts, and no
  * artifact is ever compiled twice (late arrivals wait on the
- * in-flight compile instead of duplicating it). Run under
- * -fsanitize=thread in CI to catch data races in the compile path.
+ * in-flight compile instead of duplicating it). The CacheEntry
+ * tests drive PldCompiler::cached() directly with compile callbacks
+ * that block until a second caller has joined, so the join paths
+ * run in a fixed order. Run under -fsanitize=thread in CI to catch
+ * data races in the compile path.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "fabric/device.h"
 #include "ir/builder.h"
+#include "obs/trace.h"
 #include "pld/compiler.h"
 
 using namespace pld;
@@ -66,6 +74,87 @@ quickOpts()
     o.parallelJobs = 2;
     return o;
 }
+
+/** A stand-in compile result: cached() needs only a name (the fault
+ * site), the effort and the degraded flag. */
+std::shared_ptr<OperatorArtifact>
+fakeArtifact(double effort, bool degraded = false)
+{
+    auto a = std::make_shared<OperatorArtifact>();
+    a->name = "x";
+    a->effortUsed = effort;
+    a->outcome.degraded = degraded;
+    return a;
+}
+
+/** Block until @p n callers have joined an in-flight compile. */
+void
+awaitJoined(obs::ScopedTracer &st, int64_t n)
+{
+    for (int i = 0; i < 20000; ++i) {
+        if (st.tracer().metrics().snapshot().counter(
+                "sched.cache.waits") >= n)
+            return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FAIL() << "timed out waiting for " << n << " joined caller(s)";
+}
+
+/**
+ * One claimant, on its own thread, whose compile (generation 0)
+ * blocks until release(). The constructor returns once that compile
+ * is running, so the next caller of the same key is sure to join it.
+ */
+class BlockedClaimant
+{
+  public:
+    BlockedClaimant(PldCompiler &pc, uint64_t key, double effort,
+                    PldCompiler::CompileFn compile)
+    {
+        auto running = std::make_shared<std::promise<void>>();
+        std::future<void> started = running->get_future();
+        std::shared_future<void> go = gate.get_future().share();
+        th = std::thread([&pc, key, effort, compile, running, go,
+                          this] {
+            try {
+                pc.cached(key, effort, [&](int gen) {
+                    running->set_value();
+                    go.wait();
+                    return compile(gen);
+                });
+            } catch (const std::exception &) {
+                threw = true;
+            }
+        });
+        started.wait();
+    }
+    ~BlockedClaimant()
+    {
+        release();
+        finish();
+    }
+
+    void
+    release()
+    {
+        if (!released) {
+            released = true;
+            gate.set_value();
+        }
+    }
+    void
+    finish()
+    {
+        if (th.joinable())
+            th.join();
+    }
+    bool threw = false;
+
+  private:
+    bool released = false;
+    std::promise<void> gate;
+    std::thread th;
+};
 
 } // namespace
 
@@ -189,4 +278,137 @@ TEST(CacheStress, FailureSentinelNeverStrandsWaiters)
     EXPECT_EQ(st.compiles + st.failures, st.misses)
         << "every miss either compiled or published a failure";
     EXPECT_EQ(st.compiles, 2u) << "no artifact compiled twice";
+}
+
+TEST(CacheEntry, JoinedWaiterRecompilesInjectedCorruptArtifact)
+{
+    // The claimant stores its artifact under a corrupted checksum
+    // (cache_corrupt fires on generation 0 only). A waiter that
+    // joined the compile must check what it is handed exactly as a
+    // hit would: it finds the mismatch, and the entry is recompiled
+    // once, with the next generation.
+    obs::ScopedTracer st;
+    CompileOptions o = quickOpts();
+    o.faults = FaultPlan::parse("cache_corrupt:x*1");
+    PldCompiler pc(device(), o);
+    const uint64_t key = 42;
+
+    BlockedClaimant a(pc, key, 0.1,
+                      [](int) { return fakeArtifact(0.1); });
+    std::atomic<int> b_gen{-1};
+    bool b_hit = true;
+    std::thread b([&] {
+        pc.cached(key, 0.1,
+                  [&](int gen) {
+                      b_gen = gen;
+                      return fakeArtifact(0.1);
+                  },
+                  &b_hit);
+    });
+    awaitJoined(st, 1);
+    a.release();
+    a.finish();
+    b.join();
+
+    EXPECT_EQ(b_gen.load(), 1) << "the joined waiter recompiled";
+    EXPECT_FALSE(b_hit);
+    const CacheStats &cs = pc.cacheStats();
+    EXPECT_EQ(cs.corrupt, 1u);
+    EXPECT_EQ(cs.misses, 2u);
+    EXPECT_EQ(cs.compiles, 2u);
+    EXPECT_EQ(cs.hits, 0u);
+
+    // The recompiled entry is sound: the next lookup hits.
+    bool hit = false;
+    pc.cached(
+        key, 0.1,
+        [](int) -> std::shared_ptr<OperatorArtifact> {
+            throw std::logic_error("a sound entry must not recompile");
+        },
+        &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(cs.corrupt, 1u) << "a corrupt entry is recompiled once";
+}
+
+TEST(CacheEntry, JoinedWaiterRecompilesDegradedBelowItsEffort)
+{
+    // The claimant's compile degrades at effort 0.1; a waiter that
+    // joined it asking for 0.5 must not be served that artifact —
+    // the same degraded-vs-effort check as a hit. It evicts and
+    // recompiles at its own effort with the next generation.
+    obs::ScopedTracer st;
+    PldCompiler pc(device(), quickOpts());
+    const uint64_t key = 7;
+
+    BlockedClaimant a(pc, key, 0.1, [](int) {
+        return fakeArtifact(0.1, /*degraded=*/true);
+    });
+    std::atomic<int> b_gen{-1};
+    std::shared_ptr<const OperatorArtifact> got;
+    std::thread b([&] {
+        got = pc.cached(key, 0.5, [&](int gen) {
+            b_gen = gen;
+            return fakeArtifact(0.5);
+        });
+    });
+    awaitJoined(st, 1);
+    a.release();
+    a.finish();
+    b.join();
+
+    EXPECT_EQ(b_gen.load(), 1);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->effortUsed, 0.5);
+    EXPECT_FALSE(got->outcome.degraded);
+    const CacheStats &cs = pc.cacheStats();
+    EXPECT_EQ(cs.misses, 2u);
+    EXPECT_EQ(cs.compiles, 2u);
+    EXPECT_EQ(cs.hits, 0u);
+    EXPECT_EQ(cs.corrupt, 0u);
+}
+
+TEST(CacheEntry, ThrowingCompileWakesExactlyOneReclaimant)
+{
+    // Generation 0 throws after two callers joined it. The claimant
+    // sees the exception; exactly one waiter re-claims and compiles
+    // generation 1, and the other waits for that compile and hits.
+    obs::ScopedTracer st;
+    PldCompiler pc(device(), quickOpts());
+    const uint64_t key = 9;
+
+    BlockedClaimant a(pc, key, 0.1,
+                      [](int) -> std::shared_ptr<OperatorArtifact> {
+                          throw std::runtime_error("compile died");
+                      });
+    std::atomic<int> compiles{0};
+    std::atomic<int> last_gen{-1};
+    bool hit[2] = {false, false};
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < 2; ++i) {
+        waiters.emplace_back([&, i] {
+            pc.cached(key, 0.1,
+                      [&](int gen) {
+                          ++compiles;
+                          last_gen = gen;
+                          return fakeArtifact(0.1);
+                      },
+                      &hit[i]);
+        });
+    }
+    awaitJoined(st, 2);
+    a.release();
+    a.finish();
+    for (auto &t : waiters)
+        t.join();
+
+    EXPECT_TRUE(a.threw) << "the claimant sees its compile's exception";
+    EXPECT_EQ(compiles.load(), 1) << "exactly one waiter re-claimed";
+    EXPECT_EQ(last_gen.load(), 1) << "with the next generation";
+    EXPECT_NE(hit[0], hit[1]) << "the other waiter shares its result";
+    const CacheStats &cs = pc.cacheStats();
+    EXPECT_EQ(cs.failures, 1u);
+    EXPECT_EQ(cs.compiles, 1u);
+    EXPECT_EQ(cs.misses, 2u);
+    EXPECT_EQ(cs.hits, 1u);
+    EXPECT_EQ(cs.compiles + cs.failures, cs.misses);
 }

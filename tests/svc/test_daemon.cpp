@@ -18,10 +18,10 @@
 #include <future>
 #include <thread>
 
+#include "common/coalesce.h"
 #include "fabric/device.h"
 #include "ir/builder.h"
 #include "svc/client.h"
-#include "svc/coalesce.h"
 #include "svc/server.h"
 #include "svc/service.h"
 

@@ -224,6 +224,51 @@ TEST(Swap, FunctionEditSwapRestartsOperator)
         EXPECT_EQ(out2[i], static_cast<uint32_t>(i + 1 + 100));
 }
 
+TEST(Swap, OutputOperatorMovedToSoftcoreEmitsEveryWord)
+{
+    // Regression: the operator driving the app's output is swapped
+    // onto its softcore behind a slow producer (a busy loop per
+    // word), so the restarted page starves between words. The NoC
+    // delivers the last word into its leaf FIFO in the cycle every
+    // other page has finished; run() used to end there with that
+    // word unread, one output word short.
+    const int n = 8;
+    const int spin = 60;
+    OpBuilder b("busy");
+    auto in = b.input("in");
+    auto out = b.output("out");
+    auto x = b.var("x", Type::s(32));
+    b.forLoop(0, n, [&](Ex) {
+        b.set(x, b.read(in).bitcast(Type::s(32)));
+        b.forLoop(0, spin, [&](Ex) { b.set(x, Ex(x) + 1); });
+        b.write(out, Ex(x));
+    });
+    GraphBuilder gb("pipe");
+    auto ext_in = gb.extIn("I");
+    auto ext_out = gb.extOut("O");
+    auto w = gb.wire();
+    gb.inst(b.finish(), {ext_in}, {w});
+    gb.inst(makeAddK("tail", 10, n), {w}, {ext_out});
+    Graph g = gb.finish();
+
+    PageBinding producer = hwBinding(g, 0, 0);
+    producer.cyclesPerOp = 1.0;
+    PageBinding soft = hwBinding(g, 1, 5);
+    soft.impl = PageImpl::Softcore;
+    soft.elf = rvgen::compileToRiscv(g.ops[1].fn).elf;
+    soft.imageBytes = soft.elf.footprintBytes();
+
+    SystemSim sim(g, {producer, hwBinding(g, 1, 5)}, swapCfg());
+    ASSERT_EQ(sim.swapPage(5, soft).outcome, SwapOutcome::Swapped);
+    sim.loadInput(0, iota(n));
+    ASSERT_TRUE(sim.run().completed);
+    auto got = sim.takeOutput(0);
+    ASSERT_EQ(got.size(), static_cast<size_t>(n))
+        << "the softcore output page must emit every word";
+    for (int i = 0; i < n; ++i)
+        EXPECT_EQ(got[i], static_cast<uint32_t>(i + spin + 10));
+}
+
 // -------- CRC, retransmit, backoff ----------------------------------
 
 TEST(Swap, CrcCorruptionRetransmitsAndHeals)
