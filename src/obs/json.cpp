@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <set>
 
 namespace pld {
 namespace obs {
@@ -254,6 +255,10 @@ checkChromeTrace(const Value &doc, std::string &err)
     }
     // Per-(pid,tid) stack of open "B" events.
     std::map<std::pair<double, double>, std::vector<std::string>> open;
+    // Logical parent links resolve after the walk: a parent may be
+    // written after its child (spans are grouped by thread).
+    std::set<double> span_ids;
+    std::vector<std::pair<std::string, double>> parents;
     size_t i = 0;
     for (const Value &e : events->arr) {
         std::string at = "event " + std::to_string(i++);
@@ -278,6 +283,17 @@ checkChromeTrace(const Value &doc, std::string &err)
             err = at + ": missing pid/tid";
             return false;
         }
+        const Value *sid = e.get("span_id");
+        const Value *par = e.get("parent_id");
+        if ((sid && sid->type != Type::Num) ||
+            (par && par->type != Type::Num)) {
+            err = at + ": non-numeric span_id/parent_id";
+            return false;
+        }
+        if (sid)
+            span_ids.insert(sid->num);
+        if (par && par->num != 0)
+            parents.emplace_back(at, par->num);
         auto key = std::make_pair(pid->num, tid->num);
         char p = ph->str[0];
         const Value *ts = e.get("ts");
@@ -341,6 +357,12 @@ checkChromeTrace(const Value &doc, std::string &err)
     for (const auto &[key, stk] : open) {
         if (!stk.empty()) {
             err = "unclosed B event '" + stk.back() + "'";
+            return false;
+        }
+    }
+    for (const auto &[at, parent] : parents) {
+        if (!span_ids.count(parent)) {
+            err = at + ": parent_id names no span in the file";
             return false;
         }
     }

@@ -64,7 +64,8 @@ bool parse(const std::string &text, Value &out, std::string &err);
  * Validate a parsed document as Chrome trace-event JSON: a top-level
  * "traceEvents" array whose entries have known "ph" values, every
  * "B" has a matching "E" on the same pid/tid (LIFO order), "X" events
- * carry a non-negative "dur", and "s"/"f" flow events carry ids.
+ * carry a non-negative "dur", "s"/"f" flow events carry ids, and
+ * every non-zero "parent_id" names a "span_id" in the same file.
  * Returns true when valid; @p err explains the first violation.
  */
 bool checkChromeTrace(const Value &doc, std::string &err);

@@ -536,6 +536,11 @@ Tracer::writeChromeTrace(std::ostream &os) const
                 std::snprintf(num, sizeof(num), "%.3f", e.durUs);
                 os << ",\"dur\":" << num;
             }
+            // Logical parent links: a pool-thread span names the span
+            // that awaited it, which its own thread's nesting cannot.
+            if (e.ph == Phase::Span)
+                os << ",\"span_id\":" << e.id
+                   << ",\"parent_id\":" << e.parent;
             if (e.ph == Phase::Instant)
                 os << ",\"s\":\"t\"";
             if (e.ph == Phase::FlowStart ||

@@ -1,6 +1,7 @@
 #include "sys/system.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -13,6 +14,33 @@ using dataflow::FifoReadPort;
 using dataflow::FifoWritePort;
 using dataflow::WordFifo;
 using interp::RunStatus;
+
+namespace {
+
+/** Config-channel cycles per packet: one 32-bit word per cycle over
+ * the ICAP-style channel. */
+constexpr uint64_t kPacketCycles =
+    std::max<uint64_t>(1, kSwapPacketBytes / 4);
+// The ack-timeout and activation countdowns must start non-zero.
+static_assert(kSwapAckTimeoutCycles > 0 && kSwapActivationCycles > 0);
+
+/** Config packets a partial image of @p image_bytes streams as. */
+uint64_t
+packetsFor(uint64_t image_bytes)
+{
+    return std::max<uint64_t>(
+        1, (image_bytes + kSwapPacketBytes - 1) / kSwapPacketBytes);
+}
+
+/** Watchdog budget per packet of an attempt: generous enough that a
+ * fault-free stream — even one that retransmits every packet to the
+ * limit — never trips it, so the watchdog only reports real hangs. */
+constexpr uint64_t kWatchdogCyclesPerPacket =
+    (1 + kPacketCycles + kSwapAckTimeoutCycles +
+     (kSwapBackoffBase << std::min(kSwapMaxRetransmits, 10))) *
+    (kSwapMaxRetransmits + 1);
+
+} // namespace
 
 const char *
 swapOutcomeName(SwapOutcome o)
@@ -50,62 +78,61 @@ SystemSim::SystemSim(const ir::Graph &g,
         buildDirectSystem();
 
     // Instantiate execution contexts now that ports exist.
+    for (auto &page : pages) {
+        if (page.binding.impl == PageImpl::Hw)
+            page.exec = std::make_unique<interp::OperatorExec>(
+                *page.fn, page.ports);
+        else
+            page.core = std::make_unique<rv32::Core>(page.binding.elf,
+                                                     page.ports);
+    }
 }
 
 void
 SystemSim::buildNocSystem()
 {
-    int needed = cfg.dmaLeafBase +
+    int needed = kDmaLeafBase +
                  static_cast<int>(g.extInputs.size() +
                                   g.extOutputs.size());
     net = std::make_unique<noc::BftNoc>(std::max(32, needed),
-                                        cfg.nocPortsPerLeaf,
-                                        cfg.nocFifoDepth);
+                                        kNocPortsPerLeaf, kNocFifoDepth);
 
     // Operator ports hang off their page's leaf interface.
     for (size_t oi = 0; oi < g.ops.size(); ++oi) {
         const auto &fn = g.ops[oi].fn;
         int leaf = pages[oi].binding.pageId;
         pld_assert(static_cast<int>(fn.ports.size()) <=
-                       cfg.nocPortsPerLeaf,
+                       kNocPortsPerLeaf,
                    "%s has more ports than the leaf interface",
                    fn.name.c_str());
-        std::vector<dataflow::StreamPort *> ports;
+        auto &ports = pages[oi].ports;
         for (size_t pi = 0; pi < fn.ports.size(); ++pi) {
             if (fn.ports[pi].dir == ir::PortDir::In)
                 ports.push_back(net->inPort(leaf, int(pi)));
             else
                 ports.push_back(net->outPort(leaf, int(pi)));
         }
-        pages[oi].ports = ports;
-        if (pages[oi].binding.impl == PageImpl::Hw) {
-            pages[oi].exec = std::make_unique<interp::OperatorExec>(
-                fn, ports);
-        } else {
-            pages[oi].core = std::make_unique<rv32::Core>(
-                pages[oi].binding.elf, ports);
-        }
     }
 
     // DMA endpoints.
     for (size_t i = 0; i < g.extInputs.size(); ++i) {
-        int leaf = cfg.dmaLeafBase + static_cast<int>(i);
+        int leaf = kDmaLeafBase + static_cast<int>(i);
         extInPorts.push_back(net->outPort(leaf, 0));
     }
     for (size_t j = 0; j < g.extOutputs.size(); ++j) {
-        int leaf = cfg.dmaLeafBase +
-                   static_cast<int>(g.extInputs.size() + j);
+        int leaf =
+            kDmaLeafBase + static_cast<int>(g.extInputs.size() + j);
         extOutPorts.push_back(net->inPort(leaf, 0));
     }
 
     // Linking: the loader sends config packets from the DMA leaf
     // programming every producer's destination register (Sec 4.3).
-    int linker_leaf = cfg.dmaLeafBase;
+    int linker_leaf = kDmaLeafBase;
     int link_idx = 0;
     for (const auto &l : g.links) {
         int src_leaf, src_port;
         if (l.src.isExternal()) {
-            src_leaf = cfg.dmaLeafBase + l.src.port;
+            src_leaf = kDmaLeafBase + l.src.port;
             src_port = 0;
         } else {
             src_leaf = pages[l.src.op].binding.pageId;
@@ -113,9 +140,8 @@ SystemSim::buildNocSystem()
         }
         int dst_leaf, dst_port;
         if (l.dst.isExternal()) {
-            dst_leaf = cfg.dmaLeafBase +
-                       static_cast<int>(g.extInputs.size()) +
-                       l.dst.port;
+            dst_leaf = kDmaLeafBase +
+                       static_cast<int>(g.extInputs.size()) + l.dst.port;
             dst_port = 0;
         } else {
             dst_leaf = pages[l.dst.op].binding.pageId;
@@ -140,12 +166,12 @@ SystemSim::buildDirectSystem()
     for (const auto &l : g.links) {
         bool external = l.src.isExternal() || l.dst.isExternal();
         directFifos.push_back(std::make_unique<WordFifo>(
-            external ? 0 : cfg.directFifoDepth));
+            external ? 0 : kDirectFifoDepth));
     }
 
     for (size_t oi = 0; oi < g.ops.size(); ++oi) {
         const auto &fn = g.ops[oi].fn;
-        std::vector<dataflow::StreamPort *> ports;
+        auto &ports = pages[oi].ports;
         for (size_t pi = 0; pi < fn.ports.size(); ++pi) {
             ir::Endpoint ep{static_cast<int>(oi),
                             static_cast<int>(pi)};
@@ -159,14 +185,6 @@ SystemSim::buildDirectSystem()
                     *directFifos[li]));
             }
             ports.push_back(portStorage.back().get());
-        }
-        pages[oi].ports = ports;
-        if (pages[oi].binding.impl == PageImpl::Hw) {
-            pages[oi].exec = std::make_unique<interp::OperatorExec>(
-                fn, ports);
-        } else {
-            pages[oi].core = std::make_unique<rv32::Core>(
-                pages[oi].binding.elf, ports);
         }
     }
 
@@ -221,15 +239,12 @@ SystemSim::rearmPages()
     // into the next batch and consumes the wrong number of words.
     // Re-arming from page.binding keeps a quarantined page pinned to
     // its softcore image — the binding was rewritten at quarantine.
-    for (size_t i = 0; i < pages.size(); ++i) {
-        auto &page = pages[i];
+    for (auto &page : pages) {
         if (!page.done && !(page.restartable && page.starved))
             continue;
         page.done = false;
         page.budget = 0;
         page.starved = false;
-        if (i < pageDoneMarked.size())
-            pageDoneMarked[i] = false;
         if (page.exec)
             page.exec->reset();
         if (page.core)
@@ -242,11 +257,8 @@ bool
 SystemSim::stepPages(uint64_t cycle)
 {
     bool all_done = true;
-    if (pageDoneMarked.size() != pages.size())
-        pageDoneMarked.assign(pages.size(), false);
-    size_t page_idx = static_cast<size_t>(-1);
-    for (auto &page : pages) {
-        ++page_idx;
+    for (size_t page_idx = 0; page_idx < pages.size(); ++page_idx) {
+        Page &page = pages[page_idx];
         if (page.done)
             continue;
         if (page.paused) {
@@ -280,9 +292,7 @@ SystemSim::stepPages(uint64_t cycle)
                         page.starved = true;
                     break;
                 }
-                if (page.exec->done()) {
-                    page.done = true;
-                }
+                page.done = page.exec->done();
             }
         } else {
             while (!page.done &&
@@ -305,8 +315,8 @@ SystemSim::stepPages(uint64_t cycle)
                 }
             }
         }
-        if (page.done && !pageDoneMarked[page_idx]) {
-            pageDoneMarked[page_idx] = true;
+        // Done pages are skipped above, so this is the transition.
+        if (page.done) {
             obs::instant("sys", "sys.page.done")
                 .arg("op", static_cast<int64_t>(page_idx))
                 .arg("cycle", static_cast<int64_t>(cycle));
@@ -322,18 +332,6 @@ SystemSim::faultSite(const Page &page) const
     if (cfg.faultScope.empty())
         return page.fn->name;
     return cfg.faultScope + "/" + page.fn->name;
-}
-
-RunStats
-SystemSim::run(uint64_t max_cycles)
-{
-    return runInternal(max_cycles, /*slice=*/false);
-}
-
-RunStats
-SystemSim::runSlice(uint64_t cycles)
-{
-    return runInternal(cycles, /*slice=*/true);
 }
 
 RunStats
@@ -362,7 +360,7 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
         // with words parked in leaf FIFOs, which only drain once the
         // pages below start executing.
         while (!net->transitIdle()) {
-            net->stepCycle();
+            advance(Stepping::Network, 0);
             ++rs.configCycles;
             pld_assert(rs.configCycles < 1000000,
                        "linking never converged");
@@ -372,11 +370,10 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
     }
 
     // One flow arrow per external stream: DMA start at cycle 0,
-    // finish when the stream's last word moves. The sim is
+    // finish (stepDma) when the stream's last word moves. The sim is
     // single-threaded and cycle-deterministic, so cycle args are
     // structural.
-    uint64_t words_in = 0, words_out = 0;
-    std::vector<bool> in_flow_open(extInPorts.size(), false);
+    statWordsIn = statWordsOut = 0;
     for (size_t i = 0; i < extInPorts.size(); ++i) {
         if (hostInPos[i] < hostIn[i].size()) {
             obs::flowStart("sys", "sys.dma.in", i + 1)
@@ -384,58 +381,21 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
                 .arg("words",
                      static_cast<int64_t>(hostIn[i].size() -
                                           hostInPos[i]));
-            in_flow_open[i] = true;
         }
     }
 
     uint64_t cycle = 0;
     for (; cycle < max_cycles; ++cycle) {
-        // Swap engine: start any due queued swap, then advance it.
         if (!swapActive() && !swapQueue.empty() &&
-            swapQueue.front().atCycle <= cycle) {
-            SwapRequest req = std::move(swapQueue.front());
-            swapQueue.erase(swapQueue.begin());
-            beginSwap(req.pageId, req.nb, std::move(req.newFn), true);
-        }
-        if (swapActive())
-            stepSwap(cycle);
-
-        // DMA: move host words.
-        for (size_t i = 0; i < extInPorts.size(); ++i) {
-            for (int w = 0; w < cfg.dmaWordsPerCycle; ++w) {
-                if (hostInPos[i] < hostIn[i].size() &&
-                    extInPorts[i]->canWrite()) {
-                    extInPorts[i]->write(hostIn[i][hostInPos[i]++]);
-                    ++words_in;
-                }
-            }
-            if (in_flow_open[i] &&
-                hostInPos[i] == hostIn[i].size()) {
-                in_flow_open[i] = false;
-                obs::flowFinish("sys", "sys.dma.in", i + 1)
-                    .arg("stream", static_cast<int64_t>(i))
-                    .arg("cycle", static_cast<int64_t>(cycle));
-            }
-        }
-        for (size_t j = 0; j < extOutPorts.size(); ++j) {
-            while (extOutPorts[j]->canRead()) {
-                hostOut[j].push_back(extOutPorts[j]->read());
-                ++words_out;
-            }
-        }
-
-        bool pages_done = stepPages(cycle);
-        if (net)
-            net->stepCycle();
+            swapQueue.front().atCycle <= cycle)
+            beginQueuedSwap();
+        bool pages_done = advance(Stepping::Live, cycle);
 
         if (pages_done && !swapActive()) {
             if (!swapQueue.empty()) {
                 // Work ran out before the requested start cycle:
                 // start the swap now rather than stranding it.
-                SwapRequest req = std::move(swapQueue.front());
-                swapQueue.erase(swapQueue.begin());
-                beginSwap(req.pageId, req.nb, std::move(req.newFn),
-                          true);
+                beginQueuedSwap();
                 continue;
             }
             bool inputs_done = true;
@@ -478,11 +438,51 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
     obs::count("sys.cycles", static_cast<int64_t>(rs.cycles));
     obs::count("sys.config_cycles",
                static_cast<int64_t>(rs.configCycles));
-    obs::count("sys.dma.words.in", static_cast<int64_t>(words_in));
-    obs::count("sys.dma.words.out", static_cast<int64_t>(words_out));
+    obs::count("sys.dma.words.in", static_cast<int64_t>(statWordsIn));
+    obs::count("sys.dma.words.out", static_cast<int64_t>(statWordsOut));
     obs::count("sys.page.stalls",
                static_cast<int64_t>(statStalls));
     return rs;
+}
+
+bool
+SystemSim::advance(Stepping what, uint64_t cycle)
+{
+    if (what != Stepping::Network && swapActive())
+        stepSwap(cycle);
+    bool pages_done = false;
+    if (what == Stepping::Live) {
+        stepDma(cycle);
+        pages_done = stepPages(cycle);
+    }
+    if (net)
+        net->stepCycle();
+    return pages_done;
+}
+
+void
+SystemSim::stepDma(uint64_t cycle)
+{
+    for (size_t i = 0; i < extInPorts.size(); ++i) {
+        for (int w = 0; w < kDmaWordsPerCycle; ++w) {
+            if (hostInPos[i] == hostIn[i].size() ||
+                !extInPorts[i]->canWrite())
+                break;
+            extInPorts[i]->write(hostIn[i][hostInPos[i]++]);
+            ++statWordsIn;
+            // The last word closes the flow this run opened.
+            if (hostInPos[i] == hostIn[i].size())
+                obs::flowFinish("sys", "sys.dma.in", i + 1)
+                    .arg("stream", static_cast<int64_t>(i))
+                    .arg("cycle", static_cast<int64_t>(cycle));
+        }
+    }
+    for (size_t j = 0; j < extOutPorts.size(); ++j) {
+        while (extOutPorts[j]->canRead()) {
+            hostOut[j].push_back(extOutPorts[j]->read());
+            ++statWordsOut;
+        }
+    }
 }
 
 std::vector<uint32_t>
@@ -505,55 +505,12 @@ SystemSim::findPage(int page_id) const
     return -1;
 }
 
-bool
-SystemSim::pageQuarantined(int page_id) const
+const SystemSim::Page &
+SystemSim::pageAt(int page_id) const
 {
     int idx = findPage(page_id);
     pld_assert(idx >= 0, "no page at leaf %d", page_id);
-    return pages[static_cast<size_t>(idx)].quarantined;
-}
-
-PageImpl
-SystemSim::pageImpl(int page_id) const
-{
-    int idx = findPage(page_id);
-    pld_assert(idx >= 0, "no page at leaf %d", page_id);
-    return pages[static_cast<size_t>(idx)].binding.impl;
-}
-
-const PageBinding &
-SystemSim::pageBinding(int page_id) const
-{
-    int idx = findPage(page_id);
-    pld_assert(idx >= 0, "no page at leaf %d", page_id);
-    return pages[static_cast<size_t>(idx)].binding;
-}
-
-uint64_t
-SystemSim::packetCycles() const
-{
-    // One 32-bit config word per cycle over the ICAP-style channel.
-    return std::max<uint64_t>(1, cfg.swapPacketBytes / 4);
-}
-
-uint64_t
-SystemSim::watchdogBudget() const
-{
-    if (cfg.swapWatchdogCycles)
-        return cfg.swapWatchdogCycles;
-    // Auto: generous enough that a fault-free stream — even one that
-    // retransmits every packet to the limit — never trips it, so the
-    // watchdog only ever reports genuine hangs.
-    uint64_t max_backoff =
-        cfg.swapBackoffBase
-        << std::min<uint64_t>(
-               static_cast<uint64_t>(cfg.swapMaxRetransmits), 10);
-    uint64_t per_tx = 1 + packetCycles() + cfg.swapAckTimeoutCycles +
-                      max_backoff;
-    uint64_t per_packet =
-        per_tx * static_cast<uint64_t>(cfg.swapMaxRetransmits + 1);
-    return swap.packetsTotal * per_packet + cfg.swapDmaStallCycles +
-           cfg.swapActivationCycles + 256;
+    return pages[static_cast<size_t>(idx)];
 }
 
 SwapResult
@@ -566,9 +523,7 @@ SystemSim::swapPage(int page_id, const PageBinding &nb,
     beginSwap(page_id, nb, std::move(fn_copy), false);
     uint64_t guard = 0;
     while (swapActive()) {
-        stepSwap(0);
-        if (net)
-            net->stepCycle();
+        advance(Stepping::Frozen, 0);
         pld_assert(++guard < 100000000ull, "swap never terminated");
     }
     return swapLog.back();
@@ -581,10 +536,9 @@ SystemSim::requestSwap(int page_id, const PageBinding &nb,
     // Validate at queueing time: a conflicting or doomed request is
     // rejected with a structured diagnostic instead of being queued
     // and failing long after the caller stopped looking.
-    const auto reject = [&](CompileCode code, bool retriable,
-                            std::string why) {
+    const auto reject = [&](bool retriable, std::string why) {
         SwapRequestResult rr;
-        rr.diag.code = code;
+        rr.diag.code = CompileCode::SwapRejected;
         rr.diag.stage = CompileStage::Swap;
         rr.diag.severity = DiagSeverity::Error;
         rr.diag.page = page_id;
@@ -597,30 +551,29 @@ SystemSim::requestSwap(int page_id, const PageBinding &nb,
         return rr;
     };
 
-    if (swapQueue.size() >= cfg.swapQueueDepth)
-        return reject(CompileCode::SwapRejected, /*retriable=*/true,
+    if (swapQueue.size() >= kSwapQueueDepth)
+        return reject(/*retriable=*/true,
                       "pending-swap queue full (" +
-                          std::to_string(cfg.swapQueueDepth) +
+                          std::to_string(kSwapQueueDepth) +
                           " entries); retry after a queued swap "
                           "completes");
     int idx = findPage(page_id);
     if (idx < 0)
-        return reject(CompileCode::SwapRejected, /*retriable=*/false,
+        return reject(/*retriable=*/false,
                       "no page at leaf " + std::to_string(page_id));
     if (pages[static_cast<size_t>(idx)].quarantined)
-        return reject(CompileCode::SwapRejected, /*retriable=*/false,
+        return reject(/*retriable=*/false,
                       "page is quarantined (pinned to its softcore "
                       "fallback); swaps are rejected");
     for (const auto &q : swapQueue) {
         if (q.pageId == page_id)
-            return reject(
-                CompileCode::SwapRejected, /*retriable=*/true,
-                "a queued swap already targets this page; "
-                "conflicting images cannot be queued");
+            return reject(/*retriable=*/true,
+                          "a queued swap already targets this page; "
+                          "conflicting images cannot be queued");
     }
     if (swapActive() &&
         pages[swap.pageIdx].binding.pageId == page_id)
-        return reject(CompileCode::SwapRejected, /*retriable=*/true,
+        return reject(/*retriable=*/true,
                       "a swap of this page is in flight");
 
     SwapRequest req;
@@ -647,8 +600,7 @@ SystemSim::drainForCheckpoint()
     // engine's own watchdog bounds this: it retries, rolls back, or
     // quarantines, but always terminates).
     while (swapActive()) {
-        stepSwap(0);
-        net->stepCycle();
+        advance(Stepping::Frozen, 0);
         ++spent;
         pld_assert(spent < 100000000ull,
                    "checkpoint swap completion never terminated");
@@ -658,8 +610,8 @@ SystemSim::drainForCheckpoint()
     // do not need to — that state survives reconfiguration in
     // place), but flits in switch registers must land before the
     // grid can be handed to another tenant.
-    while (!net->transitIdle() && spent < cfg.swapDrainTimeoutCycles) {
-        net->stepCycle();
+    while (!net->transitIdle() && spent < kSwapDrainTimeoutCycles) {
+        advance(Stepping::Network, 0);
         ++spent;
     }
     obs::count("sys.checkpoint.drain_cycles",
@@ -692,9 +644,7 @@ SystemSim::beginSwap(int page_id, const PageBinding &nb,
     swap.pageIdx = static_cast<size_t>(idx);
     Page &page = pages[swap.pageIdx];
     page.paused = true;
-    swap.packetsTotal = std::max<uint64_t>(
-        1, (nb.imageBytes + cfg.swapPacketBytes - 1) /
-               cfg.swapPacketBytes);
+    swap.packetsTotal = packetsFor(nb.imageBytes);
     swap.phase = SwapPhase::Draining;
     swap.span = std::make_unique<obs::Span>("sys", "sys.swap");
     swap.span->arg("op", page.fn->name)
@@ -707,28 +657,29 @@ SystemSim::beginSwap(int page_id, const PageBinding &nb,
 }
 
 void
+SystemSim::beginQueuedSwap()
+{
+    SwapRequest req = std::move(swapQueue.front());
+    swapQueue.erase(swapQueue.begin());
+    beginSwap(req.pageId, req.nb, std::move(req.newFn), true);
+}
+
+void
 SystemSim::startAttempt()
 {
     Page &page = pages[swap.pageIdx];
     swap.phase = SwapPhase::Streaming;
-    swap.packetIdx = 0;
-    swap.txCur = 0;
-    swap.packetCycleLeft = 0;
-    swap.ackWaitLeft = 0;
-    swap.backoffLeft = 0;
-    swap.stallLeft = 0;
-    swap.stalledThisAttempt = false;
-    swap.hung = false;
-    swap.activateLeft = 0;
+    swap.cur = {};
     swap.result.attempts = swap.attempt + 1;
-    swap.watchdogDeadline = swap.elapsed + watchdogBudget();
+    swap.cur.watchdogDeadline =
+        swap.elapsed + swap.packetsTotal * kWatchdogCyclesPerPacket +
+        kSwapDmaStallCycles + kSwapActivationCycles + 256;
     obs::instant("sys", "sys.swap.attempt")
         .arg("op", page.fn->name)
         .arg("attempt", static_cast<int64_t>(swap.attempt));
     if (injector.fires(FaultKind::DmaStall, faultSite(page),
                        swap.attempt * kFaultAttemptStride)) {
-        swap.stallLeft = cfg.swapDmaStallCycles;
-        swap.stalledThisAttempt = true;
+        swap.cur.stallLeft = kSwapDmaStallCycles;
         ++swap.result.dmaStalls;
         obs::count("sys.swap.dma_stalls");
     }
@@ -737,15 +688,14 @@ SystemSim::startAttempt()
 void
 SystemSim::scheduleRetransmit()
 {
-    ++swap.txCur;
-    if (swap.txCur > cfg.swapMaxRetransmits) {
+    ++swap.cur.txCur;
+    if (swap.cur.txCur > kSwapMaxRetransmits) {
         attemptFailed();
         return;
     }
     ++swap.result.retransmits;
     obs::count("sys.swap.retransmits");
-    swap.backoffLeft = cfg.swapBackoffBase
-                       << std::min(swap.txCur - 1, 10);
+    swap.cur.backoffLeft = kSwapBackoffBase << std::min(swap.cur.txCur - 1, 10);
 }
 
 void
@@ -757,16 +707,16 @@ SystemSim::transmissionResolved()
     // index in the low bits (clamped to the stride), packet ordinal
     // as the salt — the runtime mirror of the compile-ladder scheme.
     int coord = swap.attempt * kFaultAttemptStride +
-                std::min(swap.txCur, kFaultAttemptStride - 1);
-    uint64_t salt = swap.packetIdx;
+                std::min(swap.cur.txCur, kFaultAttemptStride - 1);
+    uint64_t salt = swap.cur.packetIdx;
 
     // Frame the packet: payload derived from the image content hash,
     // CRC-32 over the payload (the real check, not a modelled one).
-    std::vector<uint8_t> payload(cfg.swapPacketBytes);
+    std::array<uint8_t, kSwapPacketBytes> payload{};
     for (size_t i = 0; i < payload.size(); i += 8) {
         Hasher h;
         h.u64(swap.nb.imageHash);
-        h.u64(swap.packetIdx);
+        h.u64(swap.cur.packetIdx);
         h.u64(i);
         uint64_t w = h.digest();
         for (size_t b = 0; b < 8 && i + b < payload.size(); ++b)
@@ -779,8 +729,7 @@ SystemSim::transmissionResolved()
         // timeout, then retransmits.
         ++swap.result.drops;
         obs::count("sys.swap.drops");
-        swap.ackWaitLeft = std::max<uint64_t>(1,
-                                              cfg.swapAckTimeoutCycles);
+        swap.cur.ackWaitLeft = kSwapAckTimeoutCycles;
         return;
     }
     if (injector.fires(FaultKind::ConfigCorrupt, op, coord, salt)) {
@@ -800,12 +749,11 @@ SystemSim::transmissionResolved()
                "clean packet failed its own CRC");
     ++swap.result.packets;
     obs::count("sys.swap.packets");
-    swap.txCur = 0;
-    ++swap.packetIdx;
-    if (swap.packetIdx == swap.packetsTotal) {
+    swap.cur.txCur = 0;
+    ++swap.cur.packetIdx;
+    if (swap.cur.packetIdx == swap.packetsTotal) {
         swap.phase = SwapPhase::Activating;
-        swap.activateLeft = std::max<uint64_t>(
-            1, cfg.swapActivationCycles);
+        swap.cur.activateLeft = kSwapActivationCycles;
     }
 }
 
@@ -822,11 +770,9 @@ SystemSim::attemptFailed()
     obs::instant("sys", "sys.swap.rollback")
         .arg("op", page.fn->name)
         .arg("attempt", static_cast<int64_t>(swap.attempt));
-    uint64_t old_packets = std::max<uint64_t>(
-        1, (page.binding.imageBytes + cfg.swapPacketBytes - 1) /
-               cfg.swapPacketBytes);
     swap.phase = SwapPhase::RollingBack;
-    swap.rollbackLeft = old_packets * (packetCycles() + 1);
+    swap.rollbackLeft =
+        packetsFor(page.binding.imageBytes) * (kPacketCycles + 1);
 }
 
 void
@@ -834,69 +780,67 @@ SystemSim::stepSwap(uint64_t run_cycle)
 {
     Page &page = pages[swap.pageIdx];
     ++swap.elapsed;
+    const bool draining = swap.phase == SwapPhase::Draining;
+    // A live (in-run) swap waits for the page's outbound traffic to
+    // drain — the page keeps executing and empties its own queues. A
+    // synchronous swap runs against a frozen fabric (checkpoint
+    // reinstatement): queued words can never drain and never need
+    // to, so only in-transit traffic gates it.
+    if (draining && (swap.inRun
+                         ? net->leafQuiet(page.binding.pageId)
+                         : net->leafTransitQuiet(page.binding.pageId))) {
+        startAttempt();
+        return;
+    }
+    // The watchdog: a leaf that never quiesced aborts the swap before
+    // any image bits were committed (the old page was never
+    // touched); a stream or activation past its budget aborts the
+    // attempt.
+    const bool attempting = swap.phase == SwapPhase::Streaming ||
+                            swap.phase == SwapPhase::Activating;
+    if (draining ? swap.elapsed > kSwapDrainTimeoutCycles
+                 : attempting && swap.elapsed >= swap.cur.watchdogDeadline) {
+        swap.result.watchdogFired = true;
+        obs::count("sys.swap.watchdog_fired");
+        if (draining)
+            finishSwap(SwapOutcome::RolledBack, run_cycle);
+        else
+            attemptFailed();
+        return;
+    }
     switch (swap.phase) {
       case SwapPhase::Idle:
-        return;
       case SwapPhase::Draining:
-        // A live (in-run) swap waits for the page's outbound traffic
-        // to drain — the page keeps executing and empties its own
-        // queues. A synchronous swap runs against a frozen fabric
-        // (checkpoint reinstatement): queued words can never drain
-        // and never need to, so only in-transit traffic gates it.
-        if (swap.inRun ? net->leafQuiet(page.binding.pageId)
-                       : net->leafTransitQuiet(page.binding.pageId)) {
-            startAttempt();
-            return;
-        }
-        if (swap.elapsed > cfg.swapDrainTimeoutCycles) {
-            // The leaf never quiesced: abort before any image bits
-            // were committed. The old page was never touched.
-            swap.result.watchdogFired = true;
-            obs::count("sys.swap.watchdog_fired");
-            finishSwap(SwapOutcome::RolledBack, run_cycle);
-        }
         return;
       case SwapPhase::Streaming:
-        if (swap.elapsed >= swap.watchdogDeadline) {
-            swap.result.watchdogFired = true;
-            obs::count("sys.swap.watchdog_fired");
-            attemptFailed();
+        if (swap.cur.stallLeft) {
+            --swap.cur.stallLeft;
             return;
         }
-        if (swap.stallLeft) {
-            --swap.stallLeft;
+        if (swap.cur.backoffLeft) {
+            --swap.cur.backoffLeft;
             return;
         }
-        if (swap.backoffLeft) {
-            --swap.backoffLeft;
-            return;
-        }
-        if (swap.ackWaitLeft) {
-            if (--swap.ackWaitLeft == 0)
+        if (swap.cur.ackWaitLeft) {
+            if (--swap.cur.ackWaitLeft == 0)
                 scheduleRetransmit(); // drop confirmed by timeout
             return;
         }
-        if (swap.packetCycleLeft) {
-            if (--swap.packetCycleLeft == 0)
+        if (swap.cur.packetCycleLeft) {
+            if (--swap.cur.packetCycleLeft == 0)
                 transmissionResolved();
             return;
         }
         // Begin the next transmission of the current packet.
-        swap.packetCycleLeft = packetCycles();
+        swap.cur.packetCycleLeft = kPacketCycles;
         return;
       case SwapPhase::Activating:
-        if (swap.elapsed >= swap.watchdogDeadline) {
-            swap.result.watchdogFired = true;
-            obs::count("sys.swap.watchdog_fired");
-            attemptFailed();
-            return;
-        }
-        if (swap.hung)
+        if (swap.cur.hung)
             return; // page never reports up; watchdog will fire
-        if (swap.activateLeft && --swap.activateLeft == 0) {
+        if (swap.cur.activateLeft && --swap.cur.activateLeft == 0) {
             if (injector.fires(FaultKind::PageHang, faultSite(page),
                                swap.attempt * kFaultAttemptStride)) {
-                swap.hung = true;
+                swap.cur.hung = true;
                 obs::instant("sys", "sys.swap.hang")
                     .arg("op", page.fn->name)
                     .arg("attempt",
@@ -911,7 +855,7 @@ SystemSim::stepSwap(uint64_t run_cycle)
             --swap.rollbackLeft;
             return;
         }
-        if (swap.attempt + 1 < cfg.swapMaxAttempts) {
+        if (swap.attempt + 1 < kSwapMaxAttempts) {
             ++swap.attempt;
             startAttempt();
         } else {
@@ -919,6 +863,26 @@ SystemSim::stepSwap(uint64_t run_cycle)
         }
         return;
     }
+}
+
+void
+SystemSim::restartPage(Page &page, const rv32::PldElf *elf,
+                       uint64_t run_cycle)
+{
+    if (elf) {
+        page.exec.reset();
+        page.core = std::make_unique<rv32::Core>(*elf, page.ports);
+        page.coreSyncRun = run_cycle;
+        page.coreSyncCycles = 0;
+    } else {
+        page.core.reset();
+        page.exec =
+            std::make_unique<interp::OperatorExec>(*page.fn, page.ports);
+    }
+    page.restartable = true;
+    page.starved = false;
+    page.done = false;
+    page.budget = 0;
 }
 
 void
@@ -935,17 +899,8 @@ SystemSim::installImage(uint64_t run_cycle)
     }
     bool restart = fn_changed || nb.impl != page.binding.impl;
     if (nb.impl == PageImpl::Hw) {
-        if (restart || !page.exec) {
-            page.core.reset();
-            page.exec = std::make_unique<interp::OperatorExec>(
-                *page.fn, page.ports);
-            page.restartable = true;
-            page.starved = false;
-            page.done = false;
-            page.budget = 0;
-            if (swap.pageIdx < pageDoneMarked.size())
-                pageDoneMarked[swap.pageIdx] = false;
-        }
+        if (restart || !page.exec)
+            restartPage(page, nullptr, run_cycle);
         // else: same function, re-timed/re-placed image — the
         // operator's architectural stream state lives in the leaf
         // interface (not reconfigured), so execution resumes where
@@ -962,16 +917,7 @@ SystemSim::installImage(uint64_t run_cycle)
         page.coreSyncRun = run_cycle;
         page.coreSyncCycles = page.core->cycles();
     } else {
-        page.exec.reset();
-        page.core = std::make_unique<rv32::Core>(nb.elf, page.ports);
-        page.coreSyncRun = run_cycle;
-        page.coreSyncCycles = 0;
-        page.restartable = true;
-        page.starved = false;
-        page.done = false;
-        page.budget = 0;
-        if (swap.pageIdx < pageDoneMarked.size())
-            pageDoneMarked[swap.pageIdx] = false;
+        restartPage(page, &nb.elf, run_cycle);
     }
     page.binding = nb;
 }
@@ -999,23 +945,13 @@ SystemSim::installFallback(uint64_t run_cycle)
         page.ownedFn = std::move(swap.newFn);
         page.fn = page.ownedFn.get();
     }
-    page.exec.reset();
-    page.core =
-        std::make_unique<rv32::Core>(src->fallbackElf, page.ports);
-    page.coreSyncRun = run_cycle;
-    page.coreSyncCycles = 0;
+    restartPage(page, &src->fallbackElf, run_cycle);
     page.binding.impl = PageImpl::Softcore;
     page.binding.elf = src->fallbackElf;
     page.binding.imageBytes = src->fallbackElf.footprintBytes();
     page.binding.imageHash = 0; // fallback image, not the failed one
     page.binding.hasFallback = true;
     page.binding.fallbackElf = src->fallbackElf;
-    page.restartable = true;
-    page.starved = false;
-    page.done = false;
-    page.budget = 0;
-    if (swap.pageIdx < pageDoneMarked.size())
-        pageDoneMarked[swap.pageIdx] = false;
 }
 
 void
@@ -1039,16 +975,13 @@ SystemSim::finishSwap(SwapOutcome outcome, uint64_t run_cycle)
         .arg("cycles", static_cast<int64_t>(swap.result.cycles))
         .arg("retransmits",
              static_cast<int64_t>(swap.result.retransmits));
-    if (swap.span) {
-        swap.span->arg("outcome", swapOutcomeName(outcome))
-            .arg("cycles", static_cast<int64_t>(swap.result.cycles))
-            .arg("packets", static_cast<int64_t>(swap.result.packets))
-            .arg("retransmits",
-                 static_cast<int64_t>(swap.result.retransmits))
-            .arg("rollbacks",
-                 static_cast<int64_t>(swap.result.rollbacks));
-        swap.span.reset();
-    }
+    swap.span->arg("outcome", swapOutcomeName(outcome))
+        .arg("cycles", static_cast<int64_t>(swap.result.cycles))
+        .arg("packets", static_cast<int64_t>(swap.result.packets))
+        .arg("retransmits",
+             static_cast<int64_t>(swap.result.retransmits))
+        .arg("rollbacks", static_cast<int64_t>(swap.result.rollbacks));
+    swap.span.reset();
     swapLog.push_back(swap.result);
     swap.newFn.reset();
     swap.phase = SwapPhase::Idle;

@@ -18,6 +18,12 @@
  * Wall-clock seconds per input are cycles / Fmax, reported by the
  * benchmark harness (Table 3).
  *
+ * One clock: every simulated cycle — linking, execution, a
+ * synchronous swap, a checkpoint drain — goes through one private
+ * primitive, advance(), which steps the swap engine (when one is
+ * active), then DMA and pages (live execution only), then the NoC.
+ * Callers differ only in what they step and when they stop.
+ *
  * Live reconfiguration (hot swap): swapPage() / requestSwap() replace
  * one page's image while the rest of the system keeps executing — the
  * paper's edit→recompile→hot-swap loop. The swap engine drains the
@@ -78,45 +84,32 @@ struct PageBinding
     rv32::PldElf fallbackElf;
 };
 
+// Board parameters: every build and every test simulates the same
+// fabric, so these are constants, not SystemConfig settings.
+constexpr int kNocPortsPerLeaf = 6;     ///< leaf-interface stream ports
+constexpr size_t kNocFifoDepth = 16;    ///< per leaf-interface FIFO
+constexpr size_t kDirectFifoDepth = 64; ///< direct links (-O3 / Vitis)
+constexpr int kDmaWordsPerCycle = 1;    ///< per external stream
+constexpr int kDmaLeafBase = 24;        ///< first DMA endpoint leaf
+
+// Swap engine (DESIGN.md §11).
+constexpr size_t kSwapPacketBytes = 128; ///< payload per config packet
+constexpr int kSwapMaxRetransmits = 4;   ///< per packet, per attempt
+constexpr int kSwapMaxAttempts = 2;      ///< before quarantine
+constexpr uint64_t kSwapAckTimeoutCycles = 16; ///< drop detection
+constexpr uint64_t kSwapBackoffBase = 2; ///< doubles per retransmit
+/** Leaf-quiesce budget of a swap drain; also bounds the fabric part
+ * of a checkpoint drain. */
+constexpr uint64_t kSwapDrainTimeoutCycles = 100000;
+constexpr uint64_t kSwapDmaStallCycles = 64;  ///< dma_stall freeze
+constexpr uint64_t kSwapActivationCycles = 8; ///< last packet → up
+/** Pending requestSwap() bound; further requests are rejected. */
+constexpr size_t kSwapQueueDepth = 8;
+
 struct SystemConfig
 {
     /** Overlay (true, -O1/-O0) vs direct FIFO links (-O3/Vitis). */
     bool useNoc = true;
-    int nocPortsPerLeaf = 6;
-    size_t nocFifoDepth = 16;
-    /** Direct-link FIFO depth for monolithic designs. */
-    size_t directFifoDepth = 64;
-    /** DMA words moved per cycle per external stream. */
-    int dmaWordsPerCycle = 1;
-    /** First NoC leaf used for DMA endpoints. */
-    int dmaLeafBase = 24;
-
-    // --- Hot-swap / runtime fault tolerance knobs -----------------
-    /** Payload bytes per CRC-framed config packet. */
-    size_t swapPacketBytes = 128;
-    /** Retransmissions allowed per packet before the attempt aborts. */
-    int swapMaxRetransmits = 4;
-    /** Swap attempts (stream + activate) before quarantine. */
-    int swapMaxAttempts = 2;
-    /**
-     * Cycle budget per swap attempt before the watchdog aborts it.
-     * 0 = auto: sized so a fault-free (even fully retransmitted)
-     * stream never trips it, but a hung activation always does.
-     */
-    uint64_t swapWatchdogCycles = 0;
-    /** Cycles the sender waits for an ack before declaring a drop. */
-    uint64_t swapAckTimeoutCycles = 16;
-    /** Base retransmit backoff in cycles (doubles per retry). */
-    uint64_t swapBackoffBase = 2;
-    /** Cycles to wait for the target leaf to quiesce before abort. */
-    uint64_t swapDrainTimeoutCycles = 100000;
-    /** Cycles a dma_stall fault freezes the config channel for. */
-    uint64_t swapDmaStallCycles = 64;
-    /** Cycles from last packet accepted to the page reporting up. */
-    uint64_t swapActivationCycles = 8;
-    /** Pending requestSwap() queue bound; further requests are
-     * rejected with a structured diagnostic instead of piling up. */
-    size_t swapQueueDepth = 8;
     /**
      * Runtime fault plan (config_drop / config_corrupt / page_hang /
      * dma_stall). Empty = inherit PLD_FAULT from the environment.
@@ -208,7 +201,10 @@ class SystemSim
      * run are re-armed (reset to their entry state) when new host
      * input is queued, so one SystemSim can process many batches.
      */
-    RunStats run(uint64_t max_cycles = 500000000ull);
+    RunStats run(uint64_t max_cycles = 500000000ull)
+    {
+        return runInternal(max_cycles, /*slice=*/false);
+    }
 
     /**
      * Run at most @p cycles further cycles as one scheduler time
@@ -217,7 +213,10 @@ class SystemSim
      * emitted, because the tenant scheduler preempting a tenant
      * mid-batch is the normal case, not a stall.
      */
-    RunStats runSlice(uint64_t cycles);
+    RunStats runSlice(uint64_t cycles)
+    {
+        return runInternal(cycles, /*slice=*/true);
+    }
 
     /** Words the DMA engine collected from external output. */
     std::vector<uint32_t> takeOutput(int ext_idx);
@@ -241,7 +240,7 @@ class SystemSim
      * (run-local clock): the rest of the system keeps executing
      * while the swap engine drains and streams. Results are appended
      * to swapHistory() in start order. The request is validated at
-     * queueing time: a full queue (swapQueueDepth), a second request
+     * queueing time: a full queue (kSwapQueueDepth), a second request
      * targeting an already-queued or in-flight page, or an unknown /
      * quarantined target page is rejected with a structured
      * diagnostic instead of silently queueing a conflicting swap.
@@ -268,7 +267,7 @@ class SystemSim
      * to completion (mid-reconfiguration state cannot be
      * checkpointed; the swap watchdog bounds it). Returns cycles
      * spent (the fabric-quiesce part is bounded by
-     * swapDrainTimeoutCycles).
+     * kSwapDrainTimeoutCycles).
      */
     uint64_t drainForCheckpoint();
 
@@ -276,17 +275,26 @@ class SystemSim
     size_t pendingSwapRequests() const { return swapQueue.size(); }
 
     /** True when the page at leaf @p page_id is quarantined. */
-    bool pageQuarantined(int page_id) const;
+    bool pageQuarantined(int page_id) const
+    {
+        return pageAt(page_id).quarantined;
+    }
 
     /** Current implementation of the page at leaf @p page_id. */
-    PageImpl pageImpl(int page_id) const;
+    PageImpl pageImpl(int page_id) const
+    {
+        return pageAt(page_id).binding.impl;
+    }
 
     /**
      * Current binding of the page at leaf @p page_id — reflects any
      * completed swaps (including a quarantine rewrite). The tenant
      * scheduler re-streams exactly this image at reinstatement.
      */
-    const PageBinding &pageBinding(int page_id) const;
+    const PageBinding &pageBinding(int page_id) const
+    {
+        return pageAt(page_id).binding;
+    }
 
   private:
     struct Page
@@ -347,16 +355,19 @@ class SystemSim
         uint64_t elapsed = 0;      ///< cycles since the swap started
         int attempt = 0;
         uint64_t packetsTotal = 0;
-        uint64_t packetIdx = 0;
-        int txCur = 0;             ///< transmissions of current packet
-        uint64_t packetCycleLeft = 0;
-        uint64_t ackWaitLeft = 0;  ///< drop detection countdown
-        uint64_t backoffLeft = 0;
-        uint64_t stallLeft = 0;    ///< dma_stall freeze countdown
-        bool stalledThisAttempt = false;
-        bool hung = false;         ///< page_hang fired; await watchdog
-        uint64_t activateLeft = 0;
-        uint64_t watchdogDeadline = 0; ///< in elapsed-cycles space
+        /** State of the current attempt; startAttempt() resets it. */
+        struct Attempt
+        {
+            uint64_t packetIdx = 0;
+            int txCur = 0;            ///< transmissions of this packet
+            uint64_t packetCycleLeft = 0;
+            uint64_t ackWaitLeft = 0; ///< drop detection countdown
+            uint64_t backoffLeft = 0;
+            uint64_t stallLeft = 0;   ///< dma_stall freeze countdown
+            bool hung = false;        ///< page_hang fired; await watchdog
+            uint64_t activateLeft = 0;
+            uint64_t watchdogDeadline = 0; ///< in elapsed-cycles space
+        } cur;
         uint64_t rollbackLeft = 0;
         SwapResult result;
         std::unique_ptr<obs::Span> span;
@@ -371,20 +382,43 @@ class SystemSim
         uint64_t atCycle = 0;
     };
 
+    /** What one advance() cycle steps besides the NoC. */
+    enum class Stepping {
+        Network, ///< nothing else: linking, fabric quiesce
+        Frozen,  ///< the swap engine; pages and DMA frozen
+        Live,    ///< the swap engine, DMA and pages (run())
+    };
+
     void buildNocSystem();
     void buildDirectSystem();
     RunStats runInternal(uint64_t max_cycles, bool slice);
+    /**
+     * Advance the fabric one clock cycle at run-local @p cycle — the
+     * only place a cycle is stepped. Returns true (Live only) when
+     * every page is done or quiescent.
+     */
+    bool advance(Stepping what, uint64_t cycle);
+    void stepDma(uint64_t cycle);
     bool stepPages(uint64_t cycle);
     bool anyInputReadable(const Page &page) const;
     void rearmPages();
+    /** Install a fresh execution context on @p page — a softcore
+     * running @p elf, or (null) an HW interpreter of page.fn — and
+     * mark it restartable from its entry state. */
+    void restartPage(Page &page, const rv32::PldElf *elf,
+                     uint64_t run_cycle);
     /** Fault-injection site name for @p page: the operator name,
      * prefixed with cfg.faultScope (tenant) when one is set. */
     std::string faultSite(const Page &page) const;
 
     // Swap engine.
+    /** Index of the page at leaf @p page_id, or -1. */
     int findPage(int page_id) const;
+    /** The page at leaf @p page_id; asserts that it exists. */
+    const Page &pageAt(int page_id) const;
     void beginSwap(int page_id, const PageBinding &nb,
                    std::unique_ptr<ir::OperatorFn> new_fn, bool in_run);
+    void beginQueuedSwap();
     void stepSwap(uint64_t run_cycle);
     void startAttempt();
     void transmissionResolved();
@@ -393,8 +427,6 @@ class SystemSim
     void finishSwap(SwapOutcome outcome, uint64_t run_cycle);
     void installImage(uint64_t run_cycle);
     void installFallback(uint64_t run_cycle);
-    uint64_t packetCycles() const;
-    uint64_t watchdogBudget() const;
     bool swapActive() const
     {
         return swap.phase != SwapPhase::Idle;
@@ -403,7 +435,8 @@ class SystemSim
     /** Telemetry accumulated across the run (one counter add at the
      * end instead of per-cycle registry traffic). */
     uint64_t statStalls = 0;
-    std::vector<bool> pageDoneMarked;
+    uint64_t statWordsIn = 0;
+    uint64_t statWordsOut = 0;
 
     const ir::Graph &g;
     SystemConfig cfg;

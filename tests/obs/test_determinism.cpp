@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "fabric/device.h"
 #include "ir/builder.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 #include "pld/compiler.h"
 #include "sys/system.h"
@@ -133,4 +135,43 @@ TEST(Determinism, ReportWindowMatchesRegistryForSoloBuild)
     EXPECT_GT(fp.report.counter("pld.builds"), 0);
     EXPECT_GT(fp.report.counter("hls.operators"), 0);
     EXPECT_NE(fp.report.dist("pld.stage.pnr.seconds"), nullptr);
+}
+
+TEST(Determinism, ChromeTraceLinksPoolOpsToTheirBuild)
+{
+    // The exported trace keeps logical parents: every per-operator
+    // pld.op span — run on a pool thread, whose own nesting is empty
+    // — names the pld.build span that awaited it.
+    obs::ScopedTracer st;
+    CompileOptions o;
+    o.effort = 0.25;
+    o.parallelJobs = 4;
+    o.pnrThreads = 1;
+    PldCompiler pc(device(), o);
+    ASSERT_TRUE(pc.build(makeApp(), OptLevel::O1).report.allOk());
+    std::ostringstream os;
+    st.tracer().writeChromeTrace(os);
+
+    obs::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(os.str(), doc, err)) << err;
+    ASSERT_TRUE(obs::json::checkChromeTrace(doc, err)) << err;
+    double build_id = 0;
+    std::vector<double> op_parents;
+    for (const obs::json::Value &e : doc.get("traceEvents")->arr) {
+        const std::string &name = e.get("name")->str;
+        if (name != "pld.build" && name != "pld.op")
+            continue;
+        const obs::json::Value *id = e.get("span_id");
+        const obs::json::Value *parent = e.get("parent_id");
+        ASSERT_TRUE(id && parent) << name << " lacks its span links";
+        if (name == "pld.build")
+            build_id = id->num;
+        else
+            op_parents.push_back(parent->num);
+    }
+    ASSERT_NE(build_id, 0);
+    ASSERT_EQ(op_parents.size(), 3u);
+    for (double parent : op_parents)
+        EXPECT_EQ(parent, build_id);
 }

@@ -408,6 +408,24 @@ TEST(Export, ValidatorRejectsMalformedTraces)
         {"ph":"s","name":"a","cat":"t","pid":1,"tid":1,"ts":0}
     ]})",
                        &why));
+    // A logical parent that names no span in the file.
+    EXPECT_FALSE(check(R"({"traceEvents":[
+        {"ph":"X","name":"a","cat":"t","pid":1,"tid":1,"ts":0,"dur":1,
+         "span_id":4294967297,"parent_id":0},
+        {"ph":"X","name":"b","cat":"t","pid":1,"tid":2,"ts":0,"dur":1,
+         "span_id":8589934593,"parent_id":4294967298}
+    ]})",
+                       &why));
+    EXPECT_NE(why.find("names no span"), std::string::npos) << why;
+    // The same link resolved across threads, child first, passes.
+    EXPECT_TRUE(check(R"({"traceEvents":[
+        {"ph":"X","name":"b","cat":"t","pid":1,"tid":2,"ts":0,"dur":1,
+         "span_id":8589934593,"parent_id":4294967297},
+        {"ph":"X","name":"a","cat":"t","pid":1,"tid":1,"ts":0,"dur":1,
+         "span_id":4294967297,"parent_id":0}
+    ]})",
+                      &why))
+        << why;
     // Well-formed B/E pair passes.
     EXPECT_TRUE(check(R"({"traceEvents":[
         {"ph":"B","name":"a","cat":"t","pid":1,"tid":1,"ts":0},

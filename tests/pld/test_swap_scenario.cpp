@@ -112,8 +112,9 @@ runScenario(unsigned jobs, const Graph &base_g, const Graph &edit_g)
     EXPECT_GT(sa.binding.imageBytes, 0u);
 
     sys::SystemConfig cfg = build.sysCfg;
-    cfg.swapMaxRetransmits = 4;
-    cfg.swapMaxAttempts = 2;
+    static_assert(sys::kSwapMaxRetransmits == 4 &&
+                      sys::kSwapMaxAttempts == 2,
+                  "the fault plan below is sized for these bounds");
     // Attempt 0: fault coordinates 0..4 are all corrupt — retransmit
     // exhaustion, rollback. Attempt 1: coordinates 16,17 corrupt then
     // clean — the stream completes, but activation hangs (page_hang

@@ -55,6 +55,20 @@ makePipeline(int n)
     return gb.finish();
 }
 
+/** A linear chain of @p stages add-one operators "s0", "s1", .... */
+Graph
+makeChain(int stages, int n)
+{
+    GraphBuilder gb("chain");
+    auto w = gb.extIn("I");
+    for (int i = 0; i < stages; ++i) {
+        auto next = i + 1 == stages ? gb.extOut("O") : gb.wire();
+        gb.inst(makeAddK("s" + std::to_string(i), 1, n), {w}, {next});
+        w = next;
+    }
+    return gb.finish();
+}
+
 std::vector<uint32_t>
 iota(int n)
 {
@@ -106,9 +120,6 @@ swapCfg(const std::string &faults = "")
 {
     SystemConfig cfg;
     cfg.useNoc = true;
-    cfg.swapPacketBytes = 128;
-    cfg.swapMaxRetransmits = 4;
-    cfg.swapMaxAttempts = 2;
     if (!faults.empty())
         cfg.faults = FaultPlan::parse(faults);
     return cfg;
@@ -372,8 +383,7 @@ TEST(Swap, DmaStallAddsExactlyItsCycles)
         sim.swapPage(0, swapImage(hwBinding(g, 0, 0), 512, 2.0));
     EXPECT_EQ(r.outcome, SwapOutcome::Swapped);
     EXPECT_EQ(r.dmaStalls, 1u);
-    SystemConfig cfg = swapCfg();
-    EXPECT_EQ(r.cycles, rc.cycles + cfg.swapDmaStallCycles)
+    EXPECT_EQ(r.cycles, rc.cycles + sys::kSwapDmaStallCycles)
         << "a stalled config channel freezes for exactly its window";
 }
 
@@ -569,9 +579,8 @@ TEST(Swap, RequestSwapRejectsStructurally)
     // with a structured diagnostic, never queued to fail silently.
     const int n = 8;
     Graph g = makePipeline(n);
-    SystemConfig cfg = swapCfg();
-    cfg.swapQueueDepth = 2;
-    SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)}, cfg);
+    SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},
+                  swapCfg());
     PageBinding nb0 = swapImage(hwBinding(g, 0, 0), 256, 2.0);
     PageBinding nb5 = swapImage(hwBinding(g, 1, 5), 256, 2.0);
 
@@ -598,15 +607,26 @@ TEST(Swap, RequestSwapRejectsStructurally)
     r = sim.requestSwap(5, nb5, 200);
     EXPECT_FALSE(r.accepted); // duplicate fires first
     EXPECT_EQ(sim.pendingSwapRequests(), 2u);
-    SystemSim sim2(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},
-                   cfg);
-    EXPECT_TRUE(sim2.requestSwap(0, nb0, 0).accepted);
-    EXPECT_TRUE(sim2.requestSwap(5, nb5, 0).accepted);
-    PageBinding nb0b = swapImage(hwBinding(g, 0, 0), 512, 2.0);
-    r = sim2.requestSwap(0, nb0b, 300); // depth 2 reached
+    // Fill the real bound with one request per page of a chain one
+    // stage longer than the queue: the last, distinct page is
+    // refused because the queue is full, not as a duplicate.
+    const int depth = static_cast<int>(sys::kSwapQueueDepth);
+    Graph chain = makeChain(depth + 1, n);
+    std::vector<PageBinding> chain_pages;
+    for (int i = 0; i <= depth; ++i)
+        chain_pages.push_back(hwBinding(chain, i, i));
+    SystemSim sim2(chain, chain_pages, swapCfg());
+    for (int i = 0; i < depth; ++i)
+        EXPECT_TRUE(sim2.requestSwap(
+                            i, swapImage(chain_pages[i], 256, 2.0), 0)
+                        .accepted)
+            << "page " << i;
+    r = sim2.requestSwap(depth, swapImage(chain_pages[depth], 256, 2.0),
+                         300); // kSwapQueueDepth reached
     EXPECT_FALSE(r.accepted);
     EXPECT_TRUE(r.diag.retriable);
     EXPECT_NE(r.diag.detail.find("queue full"), std::string::npos);
+    EXPECT_EQ(sim2.pendingSwapRequests(), sys::kSwapQueueDepth);
 
     // Quarantined page: permanent.
     SystemSim sim3(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},

@@ -6,9 +6,10 @@
  *   pldtrace --hash m.json           # print determinism fingerprint
  *   pldtrace --selftest-overhead     # tracing-on vs -off compile cost
  *
- * --check exits 0 iff the file parses as trace-event JSON and every
- * "B" has a matching "E" (complete "X" events pass trivially); CI
- * runs it on the traced smoke app. --hash prints the structure hash
+ * --check exits 0 iff the file parses as trace-event JSON, every
+ * "B" has a matching "E" (complete "X" events pass trivially), and
+ * every span's logical parent ("parent_id") is a span in the file;
+ * CI runs it on the traced smoke app. --hash prints the structure hash
  * plus the sorted deterministic counters from a PLD_METRICS dump, so
  * CI can diff the PLD_THREADS=1 and =4 fingerprints with `diff`.
  * --selftest-overhead compiles a small app repeatedly with tracing
